@@ -37,13 +37,11 @@
 //!   end-to-end no-regression floor, and a flat (≤1.3×) c1024→c4096
 //!   events/sec ratio.
 //! * **Cluster dispatch at scale** (`BENCH_PR7.json`) —
-//!   `cluster/dispatch/*` cells race the node-class-bitmap cluster
-//!   dispatcher ([`BitmapDispatcher`](hipster_core::cluster::BitmapDispatcher))
-//!   against the naive linear-scan yardstick
-//!   ([`ScanDispatcher`](hipster_core::cluster::ScanDispatcher)) for the
-//!   power-of-two-choices and least-loaded balancing policies at
-//!   64/256/1024 nodes, on identical occupancy churn and RNG streams
-//!   (decision digests must match exactly); `cluster/sweep/*` cells run
+//!   `cluster/dispatch/*` cells time the cluster
+//!   [`Dispatcher`](hipster_core::cluster::Dispatcher) (one flat
+//!   occupancy array: O(1) power-of-two-choices picks, an O(N)
+//!   least-loaded scan) for both policies at 64/256/1024 nodes under
+//!   the same occupancy churn and RNG stream; `cluster/sweep/*` cells run
 //!   small multi-node [`ClusterSim`](hipster_core::ClusterSim) sweeps
 //!   through the work-stealing task scheduler and record the new
 //!   [`FleetStats`](hipster_core::FleetStats) wall-clock /
@@ -51,9 +49,10 @@
 //!   n64→n1024 p2c ns/decision ratio and require p2c to be at least as
 //!   fast as least-loaded at 1024 nodes.
 //!
-//! Every cell feeds its fast and reference implementations identical
-//! inputs, so their outputs must agree exactly — the bench doubles as an
-//! at-scale equivalence check and panics on any divergence.
+//! Every event-core, control-plane, node-dispatch and calendar cell
+//! feeds its fast and reference implementations identical inputs, so
+//! their outputs must agree exactly — the bench doubles as an at-scale
+//! equivalence check and panics on any divergence.
 //!
 //! Results are written to the current directory (the repo root, when run
 //! via `cargo run`), giving future PRs a recorded perf trajectory.
@@ -2297,43 +2296,33 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
 // PR7: cluster dispatch at scale → BENCH_PR7.json
 // ---------------------------------------------------------------------------
 
-/// One cluster-dispatch race cell: the node-class-bitmap dispatcher vs
-/// the naive linear-scan yardstick, same policy, same RNG stream, same
-/// occupancy churn — decision digests must agree exactly.
+/// One cluster-dispatch cell: the dispatcher's best-of-reps wall time
+/// over a fixed occupancy churn and RNG stream.
 #[derive(Debug)]
 struct DispatchCell {
     name: String,
     policy: &'static str,
     nodes: usize,
     decisions: u64,
-    new_wall_s: f64,
-    ref_wall_s: f64,
+    wall_s: f64,
 }
 
 impl DispatchCell {
-    fn ns_per_decision(&self, wall_s: f64) -> f64 {
-        wall_s * 1e9 / (self.decisions.max(1) as f64)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.ref_wall_s / self.new_wall_s.max(1e-12)
+    fn ns_per_decision(&self) -> f64 {
+        self.wall_s * 1e9 / (self.decisions.max(1) as f64)
     }
 
     fn json(&self) -> String {
         format!(
             concat!(
                 "{{\"name\":\"{}\",\"policy\":\"{}\",\"nodes\":{},",
-                "\"decisions\":{},",
-                "\"ns_per_decision\":{:.2},\"ref_ns_per_decision\":{:.2},",
-                "\"speedup\":{:.3}}}"
+                "\"decisions\":{},\"ns_per_decision\":{:.2}}}"
             ),
             self.name,
             self.policy,
             self.nodes,
             self.decisions,
-            self.ns_per_decision(self.new_wall_s),
-            self.ns_per_decision(self.ref_wall_s),
-            self.speedup(),
+            self.ns_per_decision(),
         )
     }
 }
@@ -2375,17 +2364,16 @@ impl SweepCell {
 
 /// Drives one dispatcher through `intervals` rounds of occupancy churn
 /// followed by a full placement pass (`nodes × quanta` decisions each),
-/// returning wall seconds and the FNV-folded decision digest. The churn
-/// is a pure hash of (interval, node), so the bitmap and linear-scan
-/// dispatchers see bit-identical inputs.
+/// returning wall seconds. The churn is a pure hash of (interval, node);
+/// each decision folds into an FNV digest, as in the recorded baseline.
 fn drive_dispatch(
-    d: &mut dyn hipster_core::cluster::Dispatcher,
+    d: &mut hipster_core::cluster::Dispatcher,
     nodes: usize,
     cap: u32,
     quanta: usize,
     intervals: usize,
     seed: u64,
-) -> (f64, u64) {
+) -> f64 {
     let mut rng = SimRng::seed(seed);
     let mut digest = 0xcbf2_9ce4_8422_2325_u64;
     let start = Instant::now();
@@ -2402,14 +2390,15 @@ fn drive_dispatch(
             digest = (digest ^ pick).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    (start.elapsed().as_secs_f64(), digest)
+    std::hint::black_box(digest);
+    start.elapsed().as_secs_f64()
 }
 
-/// The PR7 cluster matrix → `BENCH_PR7.json`: O(1) bitmap dispatch vs
-/// the linear-scan yardstick at 64–1024 nodes, plus work-stealing
-/// cluster sweeps with wall-clock/throughput accounting.
+/// The cluster matrix → `BENCH_PR7.json`: p2c and least-loaded dispatch
+/// at 64–1024 nodes, plus work-stealing cluster sweeps with
+/// wall-clock/throughput accounting.
 fn run_cluster_scale(smoke: bool, only: Option<&str>) {
-    use hipster_core::cluster::{build_dispatcher, DispatchPolicy};
+    use hipster_core::cluster::{DispatchPolicy, Dispatcher};
 
     let quanta = 4usize;
     let cap = 16u32; // matches ClusterSim's (4 × quanta).max(8) occupancy cap
@@ -2428,38 +2417,20 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
             }
             let intervals = (target_decisions / (nodes * quanta)).max(8);
             let decisions = (nodes * quanta * intervals) as u64;
-            let mut best_new = f64::INFINITY;
-            let mut best_ref = f64::INFINITY;
+            let mut best = f64::INFINITY;
             for rep in 0..reps {
+                let mut d = Dispatcher::new(policy, nodes, cap);
                 let seed = 0xC105 + rep as u64;
-                let mut fast = build_dispatcher(policy, nodes, cap, false);
-                let (new_wall, new_digest) =
-                    drive_dispatch(fast.as_mut(), nodes, cap, quanta, intervals, seed);
-                let mut scan = build_dispatcher(policy, nodes, cap, true);
-                let (ref_wall, ref_digest) =
-                    drive_dispatch(scan.as_mut(), nodes, cap, quanta, intervals, seed);
-                assert_eq!(
-                    new_digest, ref_digest,
-                    "{name}: bitmap and linear-scan dispatchers placed \
-                     different decision streams"
-                );
-                best_new = best_new.min(new_wall);
-                best_ref = best_ref.min(ref_wall);
+                best = best.min(drive_dispatch(&mut d, nodes, cap, quanta, intervals, seed));
             }
             let cell = DispatchCell {
                 name: name.clone(),
                 policy: policy.name(),
                 nodes,
                 decisions,
-                new_wall_s: best_new,
-                ref_wall_s: best_ref,
+                wall_s: best,
             };
-            println!(
-                "  {name} ... bitmap {:.1} ns/decision (scan {:.1}) — {:.2}×",
-                cell.ns_per_decision(cell.new_wall_s),
-                cell.ns_per_decision(cell.ref_wall_s),
-                cell.speedup(),
-            );
+            println!("  {name} ... {:.1} ns/decision", cell.ns_per_decision());
             dispatch_cells.push(cell);
         }
     }
@@ -2526,19 +2497,18 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
 
     let flat = match (p2c_64, p2c_1024) {
         (Some(small), Some(large)) => {
-            let ratio = large.ns_per_decision(large.new_wall_s)
-                / small.ns_per_decision(small.new_wall_s).max(1e-12);
+            let ratio = large.ns_per_decision() / small.ns_per_decision().max(1e-12);
             println!(
                 "\nflatness: p2c {:.1} ns/decision at n64 vs {:.1} at n1024 — \
                  ratio {ratio:.2} (floor 1.3)",
-                small.ns_per_decision(small.new_wall_s),
-                large.ns_per_decision(large.new_wall_s),
+                small.ns_per_decision(),
+                large.ns_per_decision(),
             );
             format!(
                 ",\"flatness\":{{\"p2c_n64_ns\":{:.2},\"p2c_n1024_ns\":{:.2},\
                  \"ratio\":{:.3}}}",
-                small.ns_per_decision(small.new_wall_s),
-                large.ns_per_decision(large.new_wall_s),
+                small.ns_per_decision(),
+                large.ns_per_decision(),
                 ratio
             )
         }
@@ -2546,18 +2516,17 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
     };
     let race = match (p2c_1024, ll_1024) {
         (Some(p2c), Some(ll)) => {
-            let advantage =
-                ll.ns_per_decision(ll.new_wall_s) / p2c.ns_per_decision(p2c.new_wall_s).max(1e-12);
+            let advantage = ll.ns_per_decision() / p2c.ns_per_decision().max(1e-12);
             println!(
                 "race: n1024 p2c {:.1} ns/decision vs least-loaded {:.1} — {advantage:.2}×",
-                p2c.ns_per_decision(p2c.new_wall_s),
-                ll.ns_per_decision(ll.new_wall_s),
+                p2c.ns_per_decision(),
+                ll.ns_per_decision(),
             );
             format!(
                 ",\"race\":{{\"p2c_n1024_ns\":{:.2},\"least_loaded_n1024_ns\":{:.2},\
                  \"advantage\":{:.3}}}",
-                p2c.ns_per_decision(p2c.new_wall_s),
-                ll.ns_per_decision(ll.new_wall_s),
+                p2c.ns_per_decision(),
+                ll.ns_per_decision(),
                 advantage
             )
         }
@@ -2568,8 +2537,7 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
     // gated cells (so `--only cluster/` regenerations stay honest too).
     if !smoke {
         if let (Some(small), Some(large)) = (p2c_64, p2c_1024) {
-            let ratio = large.ns_per_decision(large.new_wall_s)
-                / small.ns_per_decision(small.new_wall_s).max(1e-12);
+            let ratio = large.ns_per_decision() / small.ns_per_decision().max(1e-12);
             assert!(
                 ratio <= 1.3,
                 "PR7 floor: p2c ns/decision at n1024 must be within 1.3× of n64, \
@@ -2578,11 +2546,11 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
         }
         if let (Some(p2c), Some(ll)) = (p2c_1024, ll_1024) {
             assert!(
-                p2c.ns_per_decision(p2c.new_wall_s) <= ll.ns_per_decision(ll.new_wall_s),
+                p2c.ns_per_decision() <= ll.ns_per_decision(),
                 "PR7 floor: p2c must be at least as fast as least-loaded at n1024, \
                  got {:.1} vs {:.1} ns/decision",
-                p2c.ns_per_decision(p2c.new_wall_s),
-                ll.ns_per_decision(ll.new_wall_s),
+                p2c.ns_per_decision(),
+                ll.ns_per_decision(),
             );
         }
     }
@@ -2590,10 +2558,9 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
     let dispatch_body: Vec<String> = dispatch_cells.iter().map(DispatchCell::json).collect();
     let sweep_body: Vec<String> = sweep_cells.iter().map(SweepCell::json).collect();
     let json = format!(
-        "{{\"bench\":\"hipster cluster tier: O(1) dispatch + two-tier sweeps\",\
+        "{{\"bench\":\"hipster cluster tier: dispatch + two-tier sweeps\",\
          \"pr\":\"PR7\",\"smoke\":{smoke},\
          \"quanta_per_node\":{quanta},\"occupancy_cap\":{cap},\
-         \"reference_impl\":\"ScanDispatcher (naive linear scan)\",\
          \"dispatch_cells\":[\n  {}\n],\
          \"sweep_cells\":[\n  {}\n]{flat}{race}}}\n",
         dispatch_body.join(",\n  "),
@@ -2765,14 +2732,11 @@ mod tests {
             policy: "power-of-two",
             nodes: 64,
             decisions: 1000,
-            new_wall_s: 10e-6,
-            ref_wall_s: 20e-6,
+            wall_s: 10e-6,
         };
         let j = d.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"ns_per_decision\":10.00"));
-        assert!(j.contains("\"ref_ns_per_decision\":20.00"));
-        assert!(j.contains("\"speedup\":2.000"));
+        assert!(j.ends_with("\"ns_per_decision\":10.00}"));
         let s = SweepCell {
             name: "cluster/sweep/n16".into(),
             nodes: 16,
@@ -2788,18 +2752,6 @@ mod tests {
         assert!(j.contains("\"wall_s\":0.2500"));
         assert!(j.contains("\"scenarios_per_sec\":16.00"));
         assert!(j.contains("\"completions\":999"));
-    }
-
-    #[test]
-    fn dispatch_race_digests_agree_on_every_policy() {
-        use hipster_core::cluster::{build_dispatcher, DispatchPolicy};
-        for policy in DispatchPolicy::ALL {
-            let mut fast = build_dispatcher(policy, 100, 16, false);
-            let (_, a) = drive_dispatch(fast.as_mut(), 100, 16, 4, 5, 33);
-            let mut scan = build_dispatcher(policy, 100, 16, true);
-            let (_, b) = drive_dispatch(scan.as_mut(), 100, 16, 4, 5, 33);
-            assert_eq!(a, b, "{}", policy.name());
-        }
     }
 
     #[test]

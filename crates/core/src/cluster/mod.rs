@@ -5,9 +5,10 @@
 //! simulated one machine. This module scales out: a [`ClusterSim`] owns N
 //! [`Manager`]-wrapped engines (each with its own policy instance and a
 //! split-seeded RNG), a cluster-level [`Dispatcher`] that places work
-//! quanta on nodes — O(1) in cluster size via the node-occupancy bitmap —
-//! and an optional cloud tier that absorbs bursts past an occupancy
-//! watermark at a per-request-second dollar price.
+//! quanta on nodes — O(1) per pick for power-of-two-choices, random and
+//! round-robin, an O(N) scan for least-loaded — and an optional cloud
+//! tier that absorbs bursts past an occupancy watermark at a
+//! per-request-second dollar price.
 //!
 //! # Model
 //!
@@ -24,9 +25,8 @@
 //! the per-node tails, and admission spills quanta to the cloud tier
 //! whenever private occupancy sits at or above the watermark.
 //!
-//! Every dispatch decision folds into an FNV-1a digest, so two runs (or
-//! two dispatcher implementations) can be compared event for event — the
-//! hook the differential and determinism suites use.
+//! Every dispatch decision folds into an FNV-1a digest, so two runs can
+//! be compared event for event — the hook the determinism suites use.
 //!
 //! # Example
 //!
@@ -76,9 +76,7 @@ use crate::manager::Manager;
 use crate::scenario::{BatchDeadline, PolicyFactory};
 
 pub use admission::AdmissionSpec;
-pub use dispatch::{
-    build_dispatcher, BitmapDispatcher, DispatchPolicy, Dispatcher, ScanDispatcher,
-};
+pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use metrics::{cluster_tails, ClusterInterval, ClusterSummary, ClusterTrace};
 pub use overflow::{CloudBill, OverflowSpec};
 pub use retry::RetrySpec;
@@ -224,7 +222,6 @@ pub struct ClusterSpec {
     load: Option<Box<dyn LoadPattern>>,
     policy: Option<Box<dyn PolicyFactory>>,
     dispatch: DispatchPolicy,
-    reference_dispatch: bool,
     private_nodes: usize,
     cloud_nodes: usize,
     overflow: Option<OverflowSpec>,
@@ -277,7 +274,6 @@ impl ClusterSpec {
             load: None,
             policy: None,
             dispatch: DispatchPolicy::PowerOfTwo,
-            reference_dispatch: false,
             private_nodes: 0,
             cloud_nodes: 0,
             overflow: None,
@@ -323,13 +319,6 @@ impl ClusterSpec {
     /// Selects the load-balancing policy (default: power-of-two-choices).
     pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
         self.dispatch = policy;
-        self
-    }
-
-    /// Routes dispatch through the frozen linear-scan yardstick instead
-    /// of the bitmap — differential tests only.
-    pub fn reference_dispatch(mut self) -> Self {
-        self.reference_dispatch = true;
         self
     }
 
@@ -565,12 +554,7 @@ impl ClusterSpec {
             });
         }
 
-        let mut private_dispatch = build_dispatcher(
-            self.dispatch,
-            self.private_nodes,
-            cap,
-            self.reference_dispatch,
-        );
+        let mut private_dispatch = Dispatcher::new(self.dispatch, self.private_nodes, cap);
         if self.mitigation {
             if let Some(topo) = &self.topology {
                 let zone_of = (0..self.private_nodes)
@@ -582,14 +566,8 @@ impl ClusterSpec {
                 private_dispatch.set_topology(zone_of, rack_of);
             }
         }
-        let cloud_dispatch = (self.cloud_nodes > 0).then(|| {
-            build_dispatcher(
-                self.dispatch,
-                self.cloud_nodes,
-                cap,
-                self.reference_dispatch,
-            )
-        });
+        let cloud_dispatch =
+            (self.cloud_nodes > 0).then(|| Dispatcher::new(self.dispatch, self.cloud_nodes, cap));
 
         // Node-level fault timelines ride their own split stream so the
         // dispatcher RNG is untouched whether or not faults are on.
@@ -709,8 +687,8 @@ pub struct ClusterSim {
     name: String,
     nodes: Vec<NodeSlot>,
     n_private: usize,
-    private_dispatch: Box<dyn Dispatcher>,
-    cloud_dispatch: Option<Box<dyn Dispatcher>>,
+    private_dispatch: Dispatcher,
+    cloud_dispatch: Option<Dispatcher>,
     overflow: Option<OverflowSpec>,
     load: Box<dyn LoadPattern>,
     qos: QosTarget,
@@ -1362,26 +1340,6 @@ mod tests {
             .run();
         assert!(out.summary.revoked_node_intervals > 20, "{:?}", out.summary);
         assert!(out.summary.dropped_quanta > 0, "{:?}", out.summary);
-    }
-
-    #[test]
-    fn reference_dispatch_produces_identical_decisions() {
-        for policy in DispatchPolicy::ALL {
-            let fast = spec(8).dispatch(policy).build().unwrap().run();
-            let slow = spec(8)
-                .dispatch(policy)
-                .reference_dispatch()
-                .build()
-                .unwrap()
-                .run();
-            assert_eq!(
-                fast.decision_digest,
-                slow.decision_digest,
-                "{}",
-                policy.name()
-            );
-            assert_eq!(fast.summary, slow.summary);
-        }
     }
 
     fn batch_pool() -> Vec<Box<dyn BatchProgram>> {

@@ -34,7 +34,8 @@
 //!
 //! Beyond one machine, the [`cluster`] module scales out: a
 //! [`ClusterSpec`] declares N nodes (each with its own engine, policy and
-//! split seed) behind an O(1) load-balancing [`cluster::Dispatcher`],
+//! split seed) behind one flat-array load balancer, [`cluster::Dispatcher`]
+//! (O(1) per power-of-two-choices pick, an O(N) scan for least-loaded),
 //! with optional burst overflow to priced cloud nodes.
 //!
 //! # Example: HipsterIn on Memcached under a diurnal load

@@ -16,11 +16,6 @@
 //!   yardstick the `fleet` cells of `repro bench` measure scheduling
 //!   quality against, and the determinism regression test asserts both
 //!   schedulers produce byte-identical outcomes.
-//! * [`ScanDispatcher`] — the naive O(N) cluster load balancer: a plain
-//!   per-node occupancy array scanned linearly, against which the
-//!   two-level-bitmap [`BitmapDispatcher`](crate::cluster::BitmapDispatcher)
-//!   is pinned decision-for-decision (digest-compared differential
-//!   proptest) and raced in the `cluster/dispatch/*` bench cells.
 //!
 //! Nothing here is reachable from the hot path; the module exists so the
 //! fast implementations are falsifiable against a fixed reference.
@@ -34,8 +29,6 @@ use crate::fxhash::FxHashMap;
 use crate::scenario::ScenarioOutcome;
 
 use hipster_platform::CoreConfig;
-
-pub use crate::cluster::dispatch::ScanDispatcher;
 
 /// The pre-PR4 lookup table: a hash map keyed on `(load bucket,
 /// configuration)`, hashed on every access. Semantically identical to

@@ -67,7 +67,6 @@ mod fault;
 mod freelist;
 mod jsonl;
 mod latency;
-mod nodemap;
 mod ordf64;
 mod request;
 mod rng;
@@ -87,7 +86,6 @@ pub use fault::{
 };
 pub use jsonl::{interval_from_jsonl, interval_to_jsonl};
 pub use latency::{percentile, LatencyRecorder, P2Quantile};
-pub use nodemap::NodeOccupancyMap;
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
 pub use service::{NodeInterval, QueuedNode, ServerSpec, ServiceNode};

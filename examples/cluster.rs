@@ -8,7 +8,9 @@
 //! ```
 //!
 //! `policy` picks the balancer: `p2c` (default), `least-loaded`,
-//! `round-robin` or `random`.
+//! `round-robin` or `random`. Every pick except least-loaded's is O(1) in
+//! cluster size; least-loaded scans all nodes, O(N) per pick — noise at
+//! 48 nodes, but the reason the larger sweeps use power-of-two-choices.
 
 use hipster::workloads::memcached_bursty;
 use hipster::{ClusterSpec, DispatchPolicy, Hipster, MmppLoad, OverflowSpec, Platform, Policy};

@@ -59,9 +59,10 @@
 //! # Scaling further: a cluster
 //!
 //! A [`ClusterSpec`] declares N nodes — each its own engine, policy and
-//! split seed — behind an O(1) load-balancing dispatcher
-//! ([`DispatchPolicy`]), with optional burst overflow to priced cloud
-//! nodes past an occupancy watermark ([`OverflowSpec`]); the resulting
+//! split seed — behind one load-balancing dispatcher ([`DispatchPolicy`]:
+//! O(1) power-of-two-choices picks, an O(N) least-loaded scan), with
+//! optional burst overflow to priced cloud nodes past an occupancy
+//! watermark ([`OverflowSpec`]); the resulting
 //! [`ClusterSim`](core::ClusterSim) accumulates cluster-wide p95/p99,
 //! energy and dollar cost per interval (see `examples/cluster.rs`).
 
