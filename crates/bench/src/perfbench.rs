@@ -45,9 +45,12 @@
 //!   small multi-node [`ClusterSim`](hipster_core::ClusterSim) sweeps
 //!   through the work-stealing task scheduler and record the new
 //!   [`FleetStats`](hipster_core::FleetStats) wall-clock /
-//!   scenarios-per-second accounting. Full runs enforce a flat (≤1.3×)
-//!   n64→n1024 p2c ns/decision ratio and require p2c to be at least as
-//!   fast as least-loaded at 1024 nodes.
+//!   scenarios-per-second accounting; the `cluster/interval/*` cell
+//!   times one `ClusterSim::step` of the repro's 1024-node cluster with
+//!   its node stage serial vs on every core (n256 in smoke runs). Full
+//!   runs enforce a flat (≤1.3×) n64→n1024 p2c ns/decision ratio,
+//!   require p2c to be at least as fast as least-loaded at 1024 nodes,
+//!   and, on two or more cores, a ≥1.3× parallel node-stage speed-up.
 //!
 //! Every event-core, control-plane, node-dispatch and calendar cell
 //! feeds its fast and reference implementations identical inputs, so
@@ -2362,6 +2365,59 @@ impl SweepCell {
     }
 }
 
+/// One cluster-interval cell: ms per `ClusterSim::step` of the repro's
+/// `cluster_spec`, node stage serial (`threads(1)`) vs on every core
+/// (`threads(0)`), best of interleaved reps.
+#[derive(Debug)]
+struct IntervalCell {
+    name: String,
+    nodes: usize,
+    steps: usize,
+    cores: usize,
+    serial_ms: f64,
+    parallel_ms: f64,
+}
+
+impl IntervalCell {
+    fn speedup(&self) -> f64 {
+        self.serial_ms / self.parallel_ms.max(1e-12)
+    }
+
+    fn json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"name\":\"{}\",\"nodes\":{},\"steps\":{},\"cores\":{},",
+                "\"serial_ms_per_step\":{:.3},\"parallel_ms_per_step\":{:.3},",
+                "\"speedup\":{:.3}}}"
+            ),
+            self.name,
+            self.nodes,
+            self.steps,
+            self.cores,
+            self.serial_ms,
+            self.parallel_ms,
+            self.speedup(),
+        )
+    }
+}
+
+/// Builds the repro's `cluster_spec` (HipsterIn per node) with its node
+/// stage on `threads` workers and steps it `steps` intervals, returning
+/// mean ms per step (build excluded) and the decision digest.
+fn time_cluster_steps(nodes: usize, steps: usize, threads: usize) -> (f64, u64) {
+    let policy = hipster_in(Workload::Memcached.tuned_zones(), 2, 0.05);
+    let mut sim = cluster::cluster_spec("bench/interval", nodes, policy, steps, 7)
+        .threads(threads)
+        .build()
+        .expect("valid cluster spec");
+    let start = Instant::now();
+    for _ in 0..steps {
+        sim.step();
+    }
+    let ms = start.elapsed().as_secs_f64() * 1e3 / steps as f64;
+    (ms, sim.decision_digest())
+}
+
 /// Drives one dispatcher through `intervals` rounds of occupancy churn
 /// followed by a full placement pass (`nodes × quanta` decisions each),
 /// returning wall seconds. The churn is a pure hash of (interval, node);
@@ -2486,7 +2542,40 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
         sweep_cells.push(cell);
     }
 
-    if dispatch_cells.is_empty() && sweep_cells.is_empty() {
+    let (nodes, steps) = if smoke { (256, 4) } else { (1024, 16) };
+    let name = format!("cluster/interval/n{nodes}");
+    let interval_cell = selected(only, &name).then(|| {
+        // Serial and parallel reps alternate so a slow phase of a shared
+        // machine lands on both sides.
+        let (mut serial_ms, mut parallel_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let (serial, serial_digest) = time_cluster_steps(nodes, steps, 1);
+            let (parallel, parallel_digest) = time_cluster_steps(nodes, steps, 0);
+            assert_eq!(
+                serial_digest, parallel_digest,
+                "{name}: the parallel node stage changed the decision stream"
+            );
+            serial_ms = serial_ms.min(serial);
+            parallel_ms = parallel_ms.min(parallel);
+        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cell = IntervalCell {
+            name: name.clone(),
+            nodes,
+            steps,
+            cores,
+            serial_ms,
+            parallel_ms,
+        };
+        println!(
+            "  {name} ... {serial_ms:.2} ms/step serial vs {parallel_ms:.2} on {cores} cores \
+             ({:.2}×)",
+            cell.speedup()
+        );
+        cell
+    });
+
+    if dispatch_cells.is_empty() && sweep_cells.is_empty() && interval_cell.is_none() {
         return;
     }
 
@@ -2553,18 +2642,38 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
                 ll.ns_per_decision(),
             );
         }
+        if let Some(cell) = &interval_cell {
+            if cell.cores >= 2 {
+                assert!(
+                    cell.speedup() >= 1.3,
+                    "cluster-interval floor: {} must step at least 1.3× faster on {} \
+                     cores than serially, got {:.2}×",
+                    cell.name,
+                    cell.cores,
+                    cell.speedup()
+                );
+            } else {
+                println!(
+                    "{}: parallel speed-up floor skipped on a single core",
+                    cell.name
+                );
+            }
+        }
     }
 
     let dispatch_body: Vec<String> = dispatch_cells.iter().map(DispatchCell::json).collect();
     let sweep_body: Vec<String> = sweep_cells.iter().map(SweepCell::json).collect();
+    let interval_body: Vec<String> = interval_cell.iter().map(IntervalCell::json).collect();
     let json = format!(
-        "{{\"bench\":\"hipster cluster tier: dispatch + two-tier sweeps\",\
+        "{{\"bench\":\"hipster cluster tier: dispatch + two-tier sweeps + parallel node stage\",\
          \"pr\":\"PR7\",\"smoke\":{smoke},\
          \"quanta_per_node\":{quanta},\"occupancy_cap\":{cap},\
          \"dispatch_cells\":[\n  {}\n],\
-         \"sweep_cells\":[\n  {}\n]{flat}{race}}}\n",
+         \"sweep_cells\":[\n  {}\n],\
+         \"interval_cells\":[\n  {}\n]{flat}{race}}}\n",
         dispatch_body.join(",\n  "),
-        sweep_body.join(",\n  ")
+        sweep_body.join(",\n  "),
+        interval_body.join(",\n  ")
     );
     let path = "BENCH_PR7.json";
     match std::fs::write(path, &json) {
@@ -2752,6 +2861,18 @@ mod tests {
         assert!(j.contains("\"wall_s\":0.2500"));
         assert!(j.contains("\"scenarios_per_sec\":16.00"));
         assert!(j.contains("\"completions\":999"));
+        let i = IntervalCell {
+            name: "cluster/interval/n1024".into(),
+            nodes: 1024,
+            steps: 16,
+            cores: 2,
+            serial_ms: 30.0,
+            parallel_ms: 20.0,
+        };
+        let j = i.json();
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"parallel_ms_per_step\":20.000"));
+        assert!(j.ends_with("\"speedup\":1.500}"));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! per-node policies) must produce byte-identical results no matter how
 //! it is executed — serially, on one work-stealing worker, or across
 //! several workers claiming clusters in whatever order the scheduler
-//! lands on. Each cluster's decision digest folds every (tier, node)
+//! lands on — and within one cluster, however many threads step its
+//! nodes. Each cluster's decision digest folds every (tier, node)
 //! placement, so a single divergent dispatch anywhere in any execution
 //! strategy fails the test.
 
 use hipster_bench::experiments::cluster::{cluster_spec, sweep_digests};
 use hipster_bench::experiments::faults;
-use hipster_bench::runner::static_all_big;
+use hipster_bench::runner::{hipster_in, static_all_big, Workload};
+use hipster_core::cluster::{ClusterOutcome, ClusterSpec};
 
 #[test]
 fn sweep_is_identical_across_execution_strategies() {
@@ -96,4 +98,72 @@ fn repeated_runs_of_one_spec_are_byte_identical() {
         run(12).0,
         "a different seed must change the decision stream"
     );
+}
+
+/// Everything a byte-identity gate compares of one cluster run.
+fn fingerprint(out: &ClusterOutcome) -> (u64, u64, String, String) {
+    (
+        out.decision_digest,
+        out.decisions,
+        format!("{:?}", out.summary),
+        out.trace.to_csv(),
+    )
+}
+
+/// The node stage of `ClusterSim::step` fans 64-node chunks out over
+/// worker threads. At 256 nodes every cluster below is four chunks, and
+/// its decision digest, decision count, summary and trace must be the
+/// same at 1, 2 and 4 threads — plain, faulted, and under zone waves
+/// with hedging, admission and collocated batch.
+#[test]
+fn node_stage_is_identical_across_thread_counts() {
+    const NODES: usize = 256;
+    let plain = |threads| {
+        let policy = hipster_in(Workload::Memcached.tuned_zones(), 2, 0.05);
+        cluster_spec("threads/plain", NODES, policy, 4, 5).threads(threads)
+    };
+    let faulted = |threads| {
+        faults::faulty_cluster_spec(
+            "threads/faulted",
+            "memcached-revocable",
+            NODES,
+            static_all_big(),
+            8,
+            31,
+            true,
+        )
+        .threads(threads)
+    };
+    let waves = |threads| {
+        faults::zonewave_cluster_spec("threads/zonewave", NODES, static_all_big(), 12, 412, true)
+            .threads(threads)
+    };
+    let cases: [(&str, &dyn Fn(usize) -> ClusterSpec); 3] = [
+        ("plain", &plain),
+        ("faulted", &faulted),
+        ("zone-wave", &waves),
+    ];
+    let run = |spec: ClusterSpec| spec.build().expect("valid cluster spec").run();
+    for (label, make) in cases {
+        let serial = run(make(1));
+        let summary = &serial.summary;
+        assert!(summary.completions > 0, "{label}: {summary:?}");
+        match label {
+            "faulted" => assert!(summary.revoked_node_intervals > 0, "{summary:?}"),
+            "zone-wave" => assert!(
+                summary.revoked_node_intervals > 0
+                    && summary.hedged_requests > 0
+                    && summary.shed_intervals > 0,
+                "{summary:?}"
+            ),
+            _ => {}
+        }
+        let want = fingerprint(&serial);
+        for threads in [2, 4] {
+            assert!(
+                want == fingerprint(&run(make(threads))),
+                "{label}: 1 vs {threads} node-stage threads diverged"
+            );
+        }
+    }
 }

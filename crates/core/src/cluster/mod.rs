@@ -27,6 +27,9 @@
 //!
 //! Every dispatch decision folds into an FNV-1a digest, so two runs can
 //! be compared event for event — the hook the determinism suites use.
+//! Once placement has fixed each node's load, the node engines step in
+//! parallel 64-node chunks ([`ClusterSpec::threads`]) and are folded back
+//! in node order, so no output depends on the thread count.
 //!
 //! # Example
 //!
@@ -67,11 +70,11 @@ use std::sync::Arc;
 use hipster_platform::Platform;
 use hipster_sim::{
     BatchProgram, DomainFaultSpec, EngineSpec, EngineSpecError, FaultPlan, FaultSpec,
-    FaultSpecError, FaultState, HedgeSpec, LcModel, LoadPattern, QosTarget, SimRng, TopologySpec,
-    WavePlan,
+    FaultSpecError, FaultState, HedgeSpec, IntervalStats, LcModel, LoadPattern, QosTarget, SimRng,
+    TopologySpec, WavePlan,
 };
 
-use crate::fleet::split_seed;
+use crate::fleet::{resolve_workers, run_tasks, split_seed, FleetError};
 use crate::manager::Manager;
 use crate::scenario::{BatchDeadline, PolicyFactory};
 
@@ -238,6 +241,7 @@ pub struct ClusterSpec {
     admission: AdmissionSpec,
     batch: Option<Box<dyn Fn() -> Vec<Box<dyn BatchProgram>> + Send + Sync>>,
     deadline: Option<BatchDeadline>,
+    threads: usize,
 }
 
 impl std::fmt::Debug for ClusterSpec {
@@ -259,6 +263,7 @@ impl std::fmt::Debug for ClusterSpec {
             .field("hedge", &self.hedge)
             .field("admission", &self.admission)
             .field("deadline", &self.deadline)
+            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -290,6 +295,7 @@ impl ClusterSpec {
             admission: AdmissionSpec::none(),
             batch: None,
             deadline: None,
+            threads: 0,
         }
     }
 
@@ -438,6 +444,15 @@ impl ClusterSpec {
     /// [`ClusterSummary::deadline_miss_pct`] reports the late fraction.
     pub fn batch_deadline(mut self, deadline: BatchDeadline) -> Self {
         self.deadline = Some(deadline);
+        self
+    }
+
+    /// Caps the worker threads that step the nodes of one interval
+    /// (0 = one per available core, the default; 1 = serial). Nodes run
+    /// in 64-node chunks, so a cluster of at most 64 nodes always steps
+    /// on the calling thread. Results never depend on this knob.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = n;
         self
     }
 
@@ -593,9 +608,12 @@ impl ClusterSpec {
             _ => (0, 0),
         };
 
+        let workers = resolve_workers(self.threads, total.div_ceil(NODE_CHUNK));
         Ok(ClusterSim {
             name: self.name,
             nodes,
+            workers,
+            outs: (0..total).map(|_| None).collect(),
             n_private: self.private_nodes,
             private_dispatch,
             cloud_dispatch,
@@ -609,7 +627,7 @@ impl ClusterSpec {
             intervals_total: self.intervals,
             stepped: 0,
             rng: SimRng::seed(split_seed(self.seed, u64::MAX)),
-            digest: FNV_OFFSET,
+            digest: DecisionDigest(FNV_OFFSET),
             decisions: 0,
             bill: CloudBill::default(),
             trace: ClusterTrace::new(),
@@ -659,6 +677,36 @@ struct NodeSlot {
     carry: u32,
 }
 
+/// Nodes per task of the parallel node stage. A node-interval of a
+/// 1024-node cluster costs ~35 µs, so one chunk is ~2 ms of work — far
+/// more than a thread spawn — and a cluster of at most this many nodes
+/// is one chunk stepped on the calling thread.
+const NODE_CHUNK: usize = 64;
+
+/// One node's result slot, written by whichever thread stepped the node
+/// and read back by the serial fold.
+#[derive(Debug)]
+struct NodeOut {
+    stats: IntervalStats,
+    /// The engine's cumulative hedged-request count after the step.
+    hedged: u64,
+    /// The engine's cumulative straggled-request count after the step.
+    straggled: u64,
+}
+
+/// Steps one chunk of nodes into its own result slots.
+fn step_chunk(nodes: &mut [NodeSlot], outs: &mut [Option<NodeOut>]) {
+    for (slot, out) in nodes.iter_mut().zip(outs) {
+        let stats = slot.manager.step();
+        let engine = slot.manager.engine();
+        *out = Some(NodeOut {
+            stats,
+            hedged: engine.hedged_requests(),
+            straggled: engine.request_straggles(),
+        });
+    }
+}
+
 /// A batch of quanta stranded by a revocation, waiting out its backoff.
 #[derive(Debug, Clone, Copy)]
 struct RetryBatch {
@@ -670,15 +718,101 @@ struct RetryBatch {
     count: u32,
 }
 
+/// The dispatch tier a quantum lands on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Private = 0,
+    Cloud = 1,
+}
+
+/// One entry of the decision digest's input stream. [`encode`](Self::encode)
+/// gives each the `(tag << 32) | payload` word the digest has always
+/// folded (tags 0–12), so recorded digests stay valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    /// A quantum placed on `node` (index within its tier).
+    Place { tier: Tier, node: usize },
+    /// A revoked private node masked out of dispatch.
+    Mask(usize),
+    /// A masked private node returned to dispatch.
+    Unmask(usize),
+    /// A due retry batch of this many quanta re-dispatched.
+    Retry(u32),
+    /// A retry batch of this many quanta dropped, out of attempts.
+    Drop(u32),
+    /// A fresh quantum stranded: every private node masked, no cloud.
+    Strand,
+    /// A zone entered (`bad`) or left a degraded state.
+    ZoneDegraded { zone: usize, bad: bool },
+    /// A rack entered (`bad`) or left a degraded state.
+    RackDegraded { rack: usize, bad: bool },
+    /// Requests hedged across the cluster this interval.
+    Hedged(u64),
+    /// The shed rung tripped (`true`) or cleared.
+    Shed(bool),
+    /// Best-effort quanta parked by the defer rung.
+    Defer(usize),
+    /// Deferred quanta released back into dispatch.
+    Release(usize),
+}
+
+impl Decision {
+    fn encode(self) -> u64 {
+        let (tag, payload) = match self {
+            Decision::Place { tier, node } => (tier as u64, node as u64),
+            Decision::Mask(node) => (2, node as u64),
+            Decision::Unmask(node) => (3, node as u64),
+            Decision::Retry(count) => (4, u64::from(count)),
+            Decision::Drop(count) => (5, u64::from(count)),
+            Decision::Strand => (6, 0),
+            Decision::ZoneDegraded { zone, bad } => (7, ((zone as u64) << 1) | u64::from(bad)),
+            Decision::RackDegraded { rack, bad } => (8, ((rack as u64) << 1) | u64::from(bad)),
+            Decision::Hedged(count) => (9, count),
+            Decision::Shed(on) => (10, u64::from(on)),
+            Decision::Defer(count) => (11, count as u64),
+            Decision::Release(count) => (12, count as u64),
+        };
+        (tag << 32) | payload
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one value into an FNV-1a digest (little-endian bytes).
-fn fnv_fold(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// FNV-1a digest over the encoded decision stream (little-endian bytes).
+#[derive(Debug, Clone, Copy)]
+struct DecisionDigest(u64);
+
+impl DecisionDigest {
+    fn record(&mut self, decision: Decision) {
+        for b in decision.encode().to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
+}
+
+/// What the fault overlay did to one interval.
+#[derive(Debug, Default)]
+struct Overlay {
+    revoked_nodes: usize,
+    straggling_nodes: usize,
+    /// Quanta drained from the retry queue into this interval's dispatch.
+    retried_quanta: usize,
+    dropped_quanta: usize,
+    all_private_masked: bool,
+}
+
+/// The node stage's sums, folded in node order.
+#[derive(Debug, Default)]
+struct NodeTotals {
+    arrivals: usize,
+    completions: usize,
+    timeouts: usize,
+    private_energy: f64,
+    cloud_busy_req_s: f64,
+    batch_ips: f64,
+    hedged_requests: u64,
+    straggled_requests: u64,
 }
 
 /// A wired, running cluster: call [`step`](Self::step) interval by
@@ -686,6 +820,10 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
 pub struct ClusterSim {
     name: String,
     nodes: Vec<NodeSlot>,
+    /// Workers stepping the node stage (1 = on the calling thread).
+    workers: usize,
+    /// One result slot per node, refilled every interval.
+    outs: Vec<Option<NodeOut>>,
     n_private: usize,
     private_dispatch: Dispatcher,
     cloud_dispatch: Option<Dispatcher>,
@@ -699,7 +837,7 @@ pub struct ClusterSim {
     intervals_total: usize,
     stepped: usize,
     rng: SimRng,
-    digest: u64,
+    digest: DecisionDigest,
     decisions: u64,
     bill: CloudBill,
     trace: ClusterTrace,
@@ -760,10 +898,11 @@ impl ClusterSim {
         self.stepped
     }
 
-    /// FNV-1a digest over every dispatch decision so far (tier tag +
-    /// node index per quantum): byte-identical runs have equal digests.
+    /// FNV-1a digest over every decision so far (placements, masking,
+    /// retries, domain transitions, hedges, admission rungs):
+    /// byte-identical runs have equal digests.
     pub fn decision_digest(&self) -> u64 {
-        self.digest
+        self.digest.0
     }
 
     /// The trace so far.
@@ -772,7 +911,15 @@ impl ClusterSim {
     }
 
     /// Simulates one monitoring interval across every node and returns
-    /// its cluster-wide aggregate.
+    /// its cluster-wide aggregate. The stages run in a fixed order:
+    /// fault overlay → occupancy → admission → placement → arm, step and
+    /// fold the nodes. Only the node step runs in parallel; every stage
+    /// that folds into the digest or sums floats runs in node order.
+    ///
+    /// # Panics
+    ///
+    /// If a node's policy or engine panics. Stepped on several threads,
+    /// the panic message names the cluster and the chunk's node range.
     pub fn step(&mut self) -> ClusterInterval {
         let now = self.stepped as f64 * self.interval_s;
         let idx = self.stepped as u64;
@@ -780,141 +927,183 @@ impl ClusterSim {
         let capacity_quanta = (self.n_private * self.q) as u64;
         let total_quanta = (offered * capacity_quanta as f64).round() as usize;
 
-        // --- Fault overlay. Inactive (no node plan, no wave plan) this
-        // block folds nothing into the digest and touches nothing — the
-        // run stays byte-identical to a fault-free cluster.
-        let mut revoked_nodes = 0usize;
-        let mut straggling_nodes = 0usize;
-        let mut retried_quanta = 0usize;
-        let mut dropped_quanta = 0usize;
-        let mut extra_quanta = 0usize;
-        let mut all_private_masked = false;
+        // Inactive (no node plan, no wave plan) the fault overlay folds
+        // nothing into the digest and touches nothing — the run stays
+        // byte-identical to a fault-free cluster.
         let have_faults = self.faults.is_some() || self.waves.is_some();
-        if have_faults {
-            // Sample each private node's fault state — the correlated
-            // wave state of its zone and rack combined with its own
-            // independent timeline. On a fresh revocation (mitigation
-            // on) mask the node out of dispatch and strand its carried
-            // backlog into the retry queue. A warned revocation
-            // re-dispatches immediately; an unwarned one waits out the
-            // base backoff first.
-            for i in 0..self.n_private {
-                let mut state = match self.waves.as_mut() {
-                    Some(w) => w.state(i, now),
-                    None => FaultState::Healthy,
-                };
-                if let Some(plan) = self.faults.as_mut() {
-                    state = FaultState::combine(state, plan.state(i, now));
-                }
-                self.node_fault[i] = state;
-                match state {
-                    FaultState::Revoked { warned } => {
-                        revoked_nodes += 1;
-                        if self.mitigation {
-                            if !self.private_dispatch.is_masked(i) {
-                                self.private_dispatch.set_masked(i, true);
-                                self.digest = fnv_fold(self.digest, (2 << 32) | i as u64);
-                            }
-                            let carry = self.nodes[i].carry;
-                            if carry > 0 {
-                                let due = if warned {
-                                    idx
-                                } else {
-                                    idx + self.retry.backoff_for(0)
-                                };
-                                self.retries.push(RetryBatch {
-                                    due,
-                                    attempt: 1,
-                                    count: carry,
-                                });
-                                self.nodes[i].carry = 0;
-                            }
-                        }
-                    }
-                    FaultState::Straggling { .. } => {
-                        straggling_nodes += 1;
-                        if self.private_dispatch.is_masked(i) {
-                            self.private_dispatch.set_masked(i, false);
-                            self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
-                        }
-                    }
-                    FaultState::Healthy => {
-                        if self.private_dispatch.is_masked(i) {
-                            self.private_dispatch.set_masked(i, false);
-                            self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
-                        }
-                    }
-                }
-            }
-            all_private_masked = (0..self.n_private).all(|i| self.private_dispatch.is_masked(i));
+        let overlay = if have_faults {
+            self.fault_overlay(now, idx)
+        } else {
+            Overlay::default()
+        };
+        self.set_occupancy();
+        let (deferred_now, released_quanta) = self.admit(total_quanta, capacity_quanta);
+        let spilled = self.place(
+            overlay.retried_quanta,
+            total_quanta - deferred_now + released_quanta,
+            overlay.all_private_masked,
+            capacity_quanta,
+            idx,
+        );
 
-            // Tell the dispatcher which whole domains are degraded this
-            // interval so p2c re-probes and retry placement steer toward
-            // survivors; every transition folds into the digest (tag 7 =
-            // zone, tag 8 = rack).
-            if self.mitigation {
-                if let Some(w) = self.waves.as_mut() {
-                    for z in 0..self.zone_bad.len() {
-                        let bad = w.zone_state(z, now).is_faulted();
-                        if bad != self.zone_bad[z] {
-                            self.zone_bad[z] = bad;
-                            self.private_dispatch.set_domain_degraded(false, z, bad);
-                            self.digest = fnv_fold(
-                                self.digest,
-                                (7 << 32) | ((z as u64) << 1) | u64::from(bad),
-                            );
-                        }
-                    }
-                    for r in 0..self.rack_bad.len() {
-                        let bad = w.rack_state(r, now).is_faulted();
-                        if bad != self.rack_bad[r] {
-                            self.rack_bad[r] = bad;
-                            self.private_dispatch.set_domain_degraded(true, r, bad);
-                            self.digest = fnv_fold(
-                                self.digest,
-                                (8 << 32) | ((r as u64) << 1) | u64::from(bad),
-                            );
-                        }
-                    }
-                }
-            }
+        self.arm_nodes(have_faults);
+        self.step_nodes();
+        let totals = self.fold_nodes();
 
-            // Drain due retry batches back into this interval's dispatch
-            // volume; batches out of attempts with nowhere to go are
-            // dropped, the rest wait out an exponentially longer backoff.
-            let any_private = !all_private_masked;
-            let can_spill = self.cloud_dispatch.is_some() && self.overflow.is_some();
-            let mut parked = std::mem::take(&mut self.retry_scratch);
-            parked.clear();
-            for batch in self.retries.drain(..) {
-                if batch.due > idx {
-                    parked.push(batch);
-                } else if any_private || can_spill {
-                    extra_quanta += batch.count as usize;
-                    retried_quanta += batch.count as usize;
-                    self.digest = fnv_fold(self.digest, (4 << 32) | u64::from(batch.count));
-                } else if batch.attempt >= self.retry.max_attempts {
-                    dropped_quanta += batch.count as usize;
-                    self.digest = fnv_fold(self.digest, (5 << 32) | u64::from(batch.count));
-                } else {
-                    parked.push(RetryBatch {
-                        due: idx + self.retry.backoff_for(batch.attempt),
-                        attempt: batch.attempt + 1,
-                        count: batch.count,
-                    });
+        let (p95_s, p99_s) = cluster_tails(&mut self.scratch_tails);
+        let cloud_cost_usd = match &self.overflow {
+            Some(of) => self.bill.charge(totals.cloud_busy_req_s, of),
+            None => 0.0,
+        };
+        let interval = ClusterInterval {
+            index: self.stepped as u64,
+            start_s: now,
+            duration_s: self.interval_s,
+            offered_frac: offered,
+            quanta: total_quanta,
+            spilled_quanta: spilled,
+            arrivals: totals.arrivals,
+            completions: totals.completions,
+            timeouts: totals.timeouts,
+            p95_s,
+            p99_s,
+            private_energy_j: totals.private_energy,
+            cloud_busy_req_s: totals.cloud_busy_req_s,
+            cloud_cost_usd,
+            revoked_nodes: overlay.revoked_nodes,
+            straggling_nodes: overlay.straggling_nodes,
+            retried_quanta: overlay.retried_quanta,
+            dropped_quanta: overlay.dropped_quanta,
+            hedged_requests: totals.hedged_requests,
+            straggled_requests: totals.straggled_requests,
+            deferred_quanta: deferred_now,
+            batch_ips: totals.batch_ips,
+            shed_batch: self.shedding,
+        };
+        self.trace.push(interval.clone());
+        self.stepped += 1;
+        interval
+    }
+
+    /// Fault overlay: samples each private node's fault state, tells the
+    /// dispatcher which whole domains are degraded, and drains due retry
+    /// batches into this interval's dispatch volume.
+    fn fault_overlay(&mut self, now: f64, idx: u64) -> Overlay {
+        let mut overlay = Overlay::default();
+        // Each private node's state is the correlated wave state of its
+        // zone and rack combined with its own independent timeline. On a
+        // fresh revocation (mitigation on) mask the node out of dispatch
+        // and strand its carried backlog into the retry queue. A warned
+        // revocation re-dispatches immediately; an unwarned one waits
+        // out the base backoff first.
+        for i in 0..self.n_private {
+            let mut state = match self.waves.as_mut() {
+                Some(w) => w.state(i, now),
+                None => FaultState::Healthy,
+            };
+            if let Some(plan) = self.faults.as_mut() {
+                state = FaultState::combine(state, plan.state(i, now));
+            }
+            self.node_fault[i] = state;
+            match state {
+                FaultState::Revoked { warned } => {
+                    overlay.revoked_nodes += 1;
+                    if self.mitigation {
+                        if !self.private_dispatch.is_masked(i) {
+                            self.private_dispatch.set_masked(i, true);
+                            self.digest.record(Decision::Mask(i));
+                        }
+                        let carry = self.nodes[i].carry;
+                        if carry > 0 {
+                            let due = if warned {
+                                idx
+                            } else {
+                                idx + self.retry.backoff_for(0)
+                            };
+                            self.retries.push(RetryBatch {
+                                due,
+                                attempt: 1,
+                                count: carry,
+                            });
+                            self.nodes[i].carry = 0;
+                        }
+                    }
+                }
+                FaultState::Straggling { .. } | FaultState::Healthy => {
+                    if matches!(state, FaultState::Straggling { .. }) {
+                        overlay.straggling_nodes += 1;
+                    }
+                    if self.private_dispatch.is_masked(i) {
+                        self.private_dispatch.set_masked(i, false);
+                        self.digest.record(Decision::Unmask(i));
+                    }
                 }
             }
-            std::mem::swap(&mut self.retries, &mut parked);
-            self.retry_scratch = parked;
+        }
+        overlay.all_private_masked =
+            (0..self.n_private).all(|i| self.private_dispatch.is_masked(i));
+
+        // Degraded domains make p2c re-probes and retry placement steer
+        // toward survivors; every transition joins the digest.
+        if self.mitigation {
+            if let Some(w) = self.waves.as_mut() {
+                for z in 0..self.zone_bad.len() {
+                    let bad = w.zone_state(z, now).is_faulted();
+                    if bad != self.zone_bad[z] {
+                        self.zone_bad[z] = bad;
+                        self.private_dispatch.set_domain_degraded(false, z, bad);
+                        self.digest.record(Decision::ZoneDegraded { zone: z, bad });
+                    }
+                }
+                for r in 0..self.rack_bad.len() {
+                    let bad = w.rack_state(r, now).is_faulted();
+                    if bad != self.rack_bad[r] {
+                        self.rack_bad[r] = bad;
+                        self.private_dispatch.set_domain_degraded(true, r, bad);
+                        self.digest.record(Decision::RackDegraded { rack: r, bad });
+                    }
+                }
+            }
         }
 
-        // Interval-start occupancy: each node's carried backlog. Masked
-        // (revoked) nodes report their full capacity share (`q`) so the
-        // watermark sees exactly the lost capacity — mass revocation then
-        // overflows to the cloud tier as graceful degradation. Straggling
-        // nodes (mitigation on) report the capacity fraction a slowdown
-        // of `s` actually forfeits, `(1 - 1/s)·q`, so power-of-two picks
-        // steer around them without the watermark over-counting.
+        // Due retry batches rejoin dispatch; batches out of attempts with
+        // nowhere to go are dropped, the rest wait out an exponentially
+        // longer backoff.
+        let any_private = !overlay.all_private_masked;
+        let can_spill = self.cloud_dispatch.is_some() && self.overflow.is_some();
+        let mut parked = std::mem::take(&mut self.retry_scratch);
+        parked.clear();
+        for batch in self.retries.drain(..) {
+            if batch.due > idx {
+                parked.push(batch);
+            } else if any_private || can_spill {
+                overlay.retried_quanta += batch.count as usize;
+                self.digest.record(Decision::Retry(batch.count));
+            } else if batch.attempt >= self.retry.max_attempts {
+                overlay.dropped_quanta += batch.count as usize;
+                self.digest.record(Decision::Drop(batch.count));
+            } else {
+                parked.push(RetryBatch {
+                    due: idx + self.retry.backoff_for(batch.attempt),
+                    attempt: batch.attempt + 1,
+                    count: batch.count,
+                });
+            }
+        }
+        std::mem::swap(&mut self.retries, &mut parked);
+        self.retry_scratch = parked;
+        overlay
+    }
+
+    /// Occupancy: publishes each node's interval-start load to its
+    /// dispatcher — the carried backlog. Masked (revoked) nodes report
+    /// their full capacity share (`q`) so the watermark sees exactly the
+    /// lost capacity — mass revocation then overflows to the cloud tier
+    /// as graceful degradation. Straggling nodes (mitigation on) report
+    /// the capacity fraction a slowdown of `s` actually forfeits,
+    /// `(1 - 1/s)·q`, so power-of-two picks steer around them without
+    /// the watermark over-counting.
+    fn set_occupancy(&mut self) {
         for i in 0..self.n_private {
             let occ = if self.private_dispatch.is_masked(i) {
                 (self.q as u32).max(self.nodes[i].carry)
@@ -936,70 +1125,83 @@ impl ClusterSim {
                 cd.set_occupancy(j, slot.carry);
             }
         }
+    }
 
-        // --- Overload protection. The brownout ladder reads interval-
-        // start occupancy: rung 1 sheds colocated batch, rung 2 parks a
-        // fraction of fresh arrivals in the defer queue and releases
-        // them (capacity-capped) once pressure lifts. Unarmed (or with
-        // mitigation off) this folds nothing and changes nothing.
-        let mut deferred_now = 0usize;
-        let mut released_quanta = 0usize;
-        if self.mitigation && !self.admission.is_none() {
-            let occ_frac = self.private_dispatch.total() as f64 / capacity_quanta as f64;
-            let shed = occ_frac >= self.admission.shed_watermark;
-            if shed != self.shedding {
-                self.shedding = shed;
-                self.digest = fnv_fold(self.digest, (10 << 32) | u64::from(shed));
-            }
-            if occ_frac >= self.admission.defer_watermark {
-                deferred_now =
-                    (self.admission.best_effort_frac * total_quanta as f64).floor() as usize;
-                if deferred_now > 0 {
-                    self.deferred += deferred_now as u64;
-                    self.digest = fnv_fold(self.digest, (11 << 32) | deferred_now as u64);
-                }
-            } else if self.deferred > 0 {
-                released_quanta = self.deferred.min(capacity_quanta) as usize;
-                self.deferred -= released_quanta as u64;
-                self.digest = fnv_fold(self.digest, (12 << 32) | released_quanta as u64);
-            }
+    /// Admission: the brownout ladder reads interval-start occupancy.
+    /// Rung 1 sheds colocated batch, rung 2 parks a fraction of fresh
+    /// arrivals in the defer queue and releases them (capacity-capped)
+    /// once pressure lifts. Unarmed (or with mitigation off) this folds
+    /// nothing and changes nothing. Returns `(deferred, released)` quanta.
+    fn admit(&mut self, total_quanta: usize, capacity_quanta: u64) -> (usize, usize) {
+        if !self.mitigation || self.admission.is_none() {
+            return (0, 0);
         }
+        let occ_frac = self.private_dispatch.total() as f64 / capacity_quanta as f64;
+        let shed = occ_frac >= self.admission.shed_watermark;
+        if shed != self.shedding {
+            self.shedding = shed;
+            self.digest.record(Decision::Shed(shed));
+        }
+        if occ_frac >= self.admission.defer_watermark {
+            let deferred = (self.admission.best_effort_frac * total_quanta as f64).floor() as usize;
+            if deferred > 0 {
+                self.deferred += deferred as u64;
+                self.digest.record(Decision::Defer(deferred));
+            }
+            (deferred, 0)
+        } else if self.deferred > 0 {
+            let released = self.deferred.min(capacity_quanta) as usize;
+            self.deferred -= released as u64;
+            self.digest.record(Decision::Release(released));
+            (0, released)
+        } else {
+            (0, 0)
+        }
+    }
 
-        // Place the interval's quanta one decision at a time, retried
-        // quanta first (they may take the dispatcher's domain-aware
-        // retry path); with the whole private tier revoked and no cloud
-        // to spill to, fresh quanta are stranded into the retry queue
-        // instead of dispatched onto dead nodes.
+    /// Placement: places the interval's quanta one decision at a time,
+    /// the `retried` quanta first (they may take the dispatcher's
+    /// domain-aware retry path). With the whole private tier revoked and
+    /// no cloud to spill to, fresh quanta are stranded into the retry
+    /// queue instead of dispatched onto dead nodes. Returns the quanta
+    /// spilled to the cloud tier.
+    fn place(
+        &mut self,
+        retried: usize,
+        fresh: usize,
+        all_private_masked: bool,
+        capacity_quanta: u64,
+        idx: u64,
+    ) -> usize {
         self.assigned.fill(0);
         let mut spilled = 0usize;
         let mut stranded = 0u32;
-        let place_total = extra_quanta + total_quanta - deferred_now + released_quanta;
-        for k in 0..place_total {
+        for k in 0..retried + fresh {
             let spill = match (&self.cloud_dispatch, &self.overflow) {
                 (Some(_), Some(of)) => of.spills(self.private_dispatch.total(), capacity_quanta),
                 _ => false,
             };
             if all_private_masked && !spill {
                 stranded += 1;
-                self.digest = fnv_fold(self.digest, 6 << 32);
+                self.digest.record(Decision::Strand);
                 continue;
             }
-            let (tier_tag, node) = if spill {
+            let (tier, node) = if spill {
                 let cd = self.cloud_dispatch.as_mut().expect("checked above");
                 let local = cd.pick(&mut self.rng);
                 spilled += 1;
                 self.assigned[self.n_private + local] += 1;
-                (1u64, local)
+                (Tier::Cloud, local)
             } else {
-                let local = if k < extra_quanta {
+                let local = if k < retried {
                     self.private_dispatch.pick_retry(&mut self.rng)
                 } else {
                     self.private_dispatch.pick(&mut self.rng)
                 };
                 self.assigned[local] += 1;
-                (0u64, local)
+                (Tier::Private, local)
             };
-            self.digest = fnv_fold(self.digest, (tier_tag << 32) | node as u64);
+            self.digest.record(Decision::Place { tier, node });
             self.decisions += 1;
         }
         if stranded > 0 {
@@ -1009,17 +1211,17 @@ impl ClusterSim {
                 count: stranded,
             });
         }
+        spilled
+    }
 
-        // Run every node's engine interval at its assigned load fraction.
-        let (mut arrivals, mut completions, mut timeouts) = (0usize, 0usize, 0usize);
-        let mut private_energy = 0.0;
-        let mut cloud_busy_req_s = 0.0;
-        let mut batch_ips = 0.0;
-        let mut hedged_total = 0u64;
-        let mut straggled_total = 0u64;
-        self.scratch_tails.clear();
+    /// Node stage 1 (serial): writes each node's assigned load fraction,
+    /// external fault state and batch-shed flag.
+    fn arm_nodes(&mut self, have_faults: bool) {
         for (i, slot) in self.nodes.iter_mut().enumerate() {
             let frac = f64::from(self.assigned[i]) / self.q as f64;
+            // Relaxed is enough: `run_tasks` hands each chunk to its
+            // worker through a thread spawn and a job mutex, which order
+            // this store before the engine's read on that worker.
             slot.cell.store(frac.to_bits(), Ordering::Relaxed);
             if have_faults && i < self.n_private {
                 slot.manager.set_external_fault(self.node_fault[i]);
@@ -1027,67 +1229,85 @@ impl ClusterSim {
             if self.has_batch && i < self.n_private {
                 slot.manager.set_batch_shed(self.shedding);
             }
-            let stats = slot.manager.step();
-            arrivals += stats.arrivals;
-            completions += stats.completions;
-            timeouts += stats.timeouts;
+        }
+    }
+
+    /// Node stage 2: runs every node's engine interval into its result
+    /// slot, [`NODE_CHUNK`] nodes per task. Each task owns its chunk of
+    /// nodes and slots and shares nothing else, so which worker steps a
+    /// chunk, and when, cannot change any slot. With one worker (or one
+    /// chunk) the chunks run in order on the calling thread.
+    fn step_nodes(&mut self) {
+        let chunks = self
+            .nodes
+            .chunks_mut(NODE_CHUNK)
+            .zip(self.outs.chunks_mut(NODE_CHUNK));
+        if self.workers <= 1 {
+            for (nodes, outs) in chunks {
+                step_chunk(nodes, outs);
+            }
+            return;
+        }
+        let name = &self.name;
+        let tasks: Vec<(String, _)> = chunks
+            .enumerate()
+            .map(|(c, (nodes, outs))| {
+                let lo = c * NODE_CHUNK;
+                let task = format!("cluster {name} nodes {lo}..{}", lo + nodes.len());
+                (task, move || step_chunk(nodes, outs))
+            })
+            .collect();
+        match run_tasks(tasks, self.workers) {
+            Ok(_) => {}
+            Err(FleetError::ScenarioPanicked { name, message, .. }) => {
+                panic!("{name} panicked: {message}")
+            }
+            Err(e) => panic!("cluster {} node stage failed: {e}", self.name),
+        }
+    }
+
+    /// Node stage 3 (serial): walks the result slots in node order —
+    /// sums, tail samples and carried backlogs in exactly the order a
+    /// serial loop would produce them, so every float sum is the same
+    /// whatever the worker count.
+    fn fold_nodes(&mut self) -> NodeTotals {
+        let mut totals = NodeTotals::default();
+        let mut hedged_total = 0u64;
+        let mut straggled_total = 0u64;
+        self.scratch_tails.clear();
+        for (i, (slot, out)) in self.nodes.iter_mut().zip(&mut self.outs).enumerate() {
+            let NodeOut {
+                stats,
+                hedged,
+                straggled,
+            } = out.take().expect("every node stepped this interval");
+            totals.arrivals += stats.arrivals;
+            totals.completions += stats.completions;
+            totals.timeouts += stats.timeouts;
             if stats.completions > 0 {
                 self.scratch_tails.push(stats.tail_latency_s);
             }
             if i < self.n_private {
-                private_energy += stats.energy_j;
-                batch_ips += stats.batch_ips_big + stats.batch_ips_small;
-                hedged_total += slot.manager.engine().hedged_requests();
-                straggled_total += slot.manager.engine().request_straggles();
+                totals.private_energy += stats.energy_j;
+                totals.batch_ips += stats.batch_ips_big + stats.batch_ips_small;
+                hedged_total += hedged;
+                straggled_total += straggled;
             } else {
-                cloud_busy_req_s += stats.lc_busy.iter().sum::<f64>() * stats.duration_s;
+                totals.cloud_busy_req_s += stats.lc_busy.iter().sum::<f64>() * stats.duration_s;
             }
             slot.carry = quantize_backlog(stats.queue_len, self.reqs_per_quantum);
         }
         // Engines count hedges/straggles cumulatively; the interval's
-        // share is the delta. Hedge decisions join the digest (tag 9) so
-        // armed sweeps compare hedging event for event.
-        let hedged_requests = hedged_total - self.prev_hedged;
+        // share is the delta. Hedge decisions join the digest so armed
+        // sweeps compare hedging event for event.
+        totals.hedged_requests = hedged_total - self.prev_hedged;
         self.prev_hedged = hedged_total;
-        let straggled_requests = straggled_total - self.prev_straggled;
+        totals.straggled_requests = straggled_total - self.prev_straggled;
         self.prev_straggled = straggled_total;
-        if hedged_requests > 0 {
-            self.digest = fnv_fold(self.digest, (9 << 32) | hedged_requests);
+        if totals.hedged_requests > 0 {
+            self.digest.record(Decision::Hedged(totals.hedged_requests));
         }
-
-        let (p95_s, p99_s) = cluster_tails(&mut self.scratch_tails);
-        let cloud_cost_usd = match &self.overflow {
-            Some(of) => self.bill.charge(cloud_busy_req_s, of),
-            None => 0.0,
-        };
-        let interval = ClusterInterval {
-            index: self.stepped as u64,
-            start_s: now,
-            duration_s: self.interval_s,
-            offered_frac: offered,
-            quanta: total_quanta,
-            spilled_quanta: spilled,
-            arrivals,
-            completions,
-            timeouts,
-            p95_s,
-            p99_s,
-            private_energy_j: private_energy,
-            cloud_busy_req_s,
-            cloud_cost_usd,
-            revoked_nodes,
-            straggling_nodes,
-            retried_quanta,
-            dropped_quanta,
-            hedged_requests,
-            straggled_requests,
-            deferred_quanta: deferred_now,
-            batch_ips,
-            shed_batch: self.shedding,
-        };
-        self.trace.push(interval.clone());
-        self.stepped += 1;
-        interval
+        totals
     }
 
     /// Runs the remaining intervals and condenses the result.
@@ -1103,7 +1323,7 @@ impl ClusterSim {
             name: self.name,
             summary,
             trace: self.trace,
-            decision_digest: self.digest,
+            decision_digest: self.digest.0,
             decisions: self.decisions,
             cloud_bill: self.bill,
         }
@@ -1154,6 +1374,93 @@ mod tests {
             .intervals(3)
             .interval_s(0.05)
             .seed(11)
+    }
+
+    #[test]
+    fn decisions_encode_to_the_recorded_digest_words() {
+        let cases = [
+            (
+                Decision::Place {
+                    tier: Tier::Private,
+                    node: 7,
+                },
+                7,
+            ),
+            (
+                Decision::Place {
+                    tier: Tier::Cloud,
+                    node: 7,
+                },
+                (1 << 32) | 7,
+            ),
+            (Decision::Mask(5), (2 << 32) | 5),
+            (Decision::Unmask(5), (3 << 32) | 5),
+            (Decision::Retry(9), (4 << 32) | 9),
+            (Decision::Drop(9), (5 << 32) | 9),
+            (Decision::Strand, 6 << 32),
+            (
+                Decision::ZoneDegraded { zone: 3, bad: true },
+                (7 << 32) | (3 << 1) | 1,
+            ),
+            (
+                Decision::RackDegraded {
+                    rack: 3,
+                    bad: false,
+                },
+                (8 << 32) | (3 << 1),
+            ),
+            (Decision::Hedged(40), (9 << 32) | 40),
+            (Decision::Shed(true), (10 << 32) | 1),
+            (Decision::Defer(12), (11 << 32) | 12),
+            (Decision::Release(12), (12 << 32) | 12),
+        ];
+        for (decision, word) in cases {
+            assert_eq!(decision.encode(), word, "{decision:?}");
+        }
+    }
+
+    /// A policy that panics the first time it is asked to decide.
+    #[derive(Debug)]
+    struct PanicsOnDecide;
+
+    impl Policy for PanicsOnDecide {
+        fn name(&self) -> &str {
+            "panics-on-decide"
+        }
+
+        fn decide(&mut self, _obs: &crate::policy::Observation) -> hipster_platform::CoreConfig {
+            panic!("node policy panicked")
+        }
+    }
+
+    #[test]
+    fn a_panicking_node_panics_the_step_naming_its_chunk() {
+        // Node 150 of 256 sits in the third 64-node chunk. Every node is
+        // seeded `split_seed(11, i)`, which picks it out of the factory.
+        let doomed = split_seed(11, 150);
+        let message = |threads: usize| {
+            let mut sim = spec(256)
+                .intervals(1)
+                .threads(threads)
+                .policy(move |p: &Platform, seed: u64| {
+                    if seed == doomed {
+                        Box::new(PanicsOnDecide) as Box<dyn Policy>
+                    } else {
+                        Box::new(StaticPolicy::all_big(p))
+                    }
+                })
+                .build()
+                .unwrap();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.step()))
+                .expect_err("the step must panic");
+            crate::fleet::panic_message(payload.as_ref())
+        };
+        // Serial: the node's own panic, unwrapped.
+        assert_eq!(message(1), "node policy panicked");
+        assert_eq!(
+            message(2),
+            "cluster test nodes 128..192 panicked: node policy panicked"
+        );
     }
 
     #[test]

@@ -717,8 +717,12 @@ impl Fleet {
 }
 
 /// Resolves a thread-count request against the number of runnable jobs
-/// (0 = one worker per available core; always at least one worker).
-fn resolve_workers(threads: usize, jobs: usize) -> usize {
+/// (0 = one worker per available core; always at least one worker). A
+/// single job skips the core-count query, which reads cgroup files.
+pub(crate) fn resolve_workers(threads: usize, jobs: usize) -> usize {
+    if jobs <= 1 {
+        return 1;
+    }
     if threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
