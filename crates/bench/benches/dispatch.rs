@@ -2,7 +2,7 @@
 //! indexed structures, isolated from workload sampling (demands are
 //! pre-generated), at 16/256/1024 servers.
 //!
-//! Compares the speed-class bitmap `ServiceNode` against the frozen
+//! Compares the bitmap-dispatch `ServiceNode` against the frozen
 //! PR 3/4-era free-server max-heap `HeapNode` — the pair recorded in
 //! `BENCH_PR5.json` — on an identical steady-state arrival/advance replay
 //! at ~80% utilization. The bitmap node's cost should be flat across the

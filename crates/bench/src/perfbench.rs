@@ -17,11 +17,12 @@
 //!   through the work-stealing [`Fleet`] and a static-partition
 //!   baseline scheduler, recording wall time and per-worker idle tails.
 //! * **Dispatch at scale** (`BENCH_PR5.json`) — `open/memcached/*` cells
-//!   at 64/256/1024 servers plus a DVFS-churn cell drive the frozen PR 5
-//!   speed-class-bitmap node ([`PackedHeapNode`]) against the frozen
-//!   PR 3/4-era free-server max-heap node ([`HeapNode`]) — both frozen,
-//!   so the PR 5 floors pin the PR 5 dispatch artifact rather than
-//!   whatever event core the production node carries today — proving
+//!   at 64/256/1024 servers plus a DVFS-churn cell drive the production
+//!   bitmap dispatch over the frozen PR 5 packed heap ([`PackedHeapNode`])
+//!   against the frozen PR 3/4-era free-server max-heap node
+//!   ([`HeapNode`]) — the completion index frozen on both sides, so the
+//!   PR 5 floors pin the O(1) dispatch path rather than whatever event
+//!   core the production node carries today — proving
 //!   per-event cost stays flat in machine size (s1024 within 1.3× of
 //!   s64) and enforcing the ≥1.5× speedup floor at 256 servers when
 //!   recording a full (non-smoke) run.
@@ -81,7 +82,7 @@ use hipster_sim::reference::{
 };
 use hipster_sim::{
     CalendarQueue, CompletionQueue, Demand, LcModel, NodeInterval, QueuedNode, Sampler, ServerSpec,
-    ServiceNode, SimRng, ThinkPool,
+    ServiceNode, SimRng, ThinkPool, DEFAULT_JITTER_SIGMA,
 };
 use hipster_workloads::{
     memcached, web_search, Constant, LcWorkload, MmppStream, MMPP_BURST_FACTOR, MMPP_CALM_FACTOR,
@@ -1103,7 +1104,7 @@ fn run_control_plane(smoke: bool, only: Option<&str>) {
 
 /// Multiplicative DVFS ladder the churn cell cycles through, one step per
 /// monitoring interval (every step changes every server's effective speed,
-/// forcing a speed-class-table rebuild / free-heap rebuild per interval).
+/// forcing a free-list re-sort / free-heap rebuild per interval).
 const DVFS_CHURN_STEPS: &[f64] = &[1.0, 0.85, 0.7, 0.85];
 
 /// DVFS transition stall of the churn cell, seconds (a slice of the
@@ -1185,12 +1186,15 @@ impl ArrivalStream for MmppStream<'_> {
 /// semantics), but consuming a pre-generated arrival stream. When
 /// `dvfs_specs` is non-empty, every interval boundary after the first
 /// applies the next ladder step as a DVFS-style rescale (no preemption,
-/// [`DVFS_CHURN_STALL_S`] stall) *inside* the timed region — per-interval
-/// reconfiguration cost is exactly what the churn cell measures.
+/// `dvfs_stall_s` stall) *inside* the timed region — per-interval
+/// reconfiguration cost is exactly what the churn and Juno cells
+/// measure.
+#[allow(clippy::too_many_arguments)]
 fn replay_open<N: EventNode, G: ArrivalStream>(
     node: &mut N,
     specs: &[ServerSpec],
     dvfs_specs: &[Vec<ServerSpec>],
+    dvfs_stall_s: f64,
     gen: &mut G,
     buf: &mut Vec<(f64, Demand)>,
     interval_s: f64,
@@ -1211,7 +1215,7 @@ fn replay_open<N: EventNode, G: ArrivalStream>(
                 now,
                 &dvfs_specs[iv_idx % dvfs_specs.len()],
                 false,
-                DVFS_CHURN_STALL_S,
+                dvfs_stall_s,
             );
         }
         let mut i = 0;
@@ -1319,13 +1323,15 @@ fn dvfs_spec_ladder(base: &[ServerSpec]) -> Vec<Vec<ServerSpec>> {
         .collect()
 }
 
-/// The PR5 dispatch-at-scale matrix → `BENCH_PR5.json`: the frozen PR 5
-/// node ([`PackedHeapNode`] — speed-class bitmap dispatch + packed-`u128`
-/// heap) vs the frozen PR 3/4 free-server max-heap [`HeapNode`] on
-/// identical streams (digest-compared; panics on divergence).
+/// The PR5 dispatch-at-scale matrix → `BENCH_PR5.json`: [`PackedHeapNode`]
+/// — the production node body, so the production bitmap dispatch (since
+/// the PR 5 speed-class table folded into one preference-rank free list),
+/// over the frozen packed-`u128` heap — vs the frozen PR 3/4 free-server
+/// max-heap [`HeapNode`] on identical streams (digest-compared; panics on
+/// divergence).
 ///
-/// Both sides are frozen on purpose: the matrix pins the *PR 5 artifact*
-/// (O(1) speed-class dispatch), so its floors must not drift when a later
+/// Both completion indexes are frozen on purpose: the matrix pins the
+/// *O(1) dispatch artifact*, so its floors must not drift when a later
 /// PR swaps the event core out from under the production node — PR 6 did
 /// exactly that, and the current node's own scaling is tracked by the
 /// PR 6 matrix (`BENCH_PR6.json`) instead.
@@ -1419,6 +1425,7 @@ fn run_dispatch_scale(smoke: bool, only: Option<&str>) {
                 &mut node,
                 &plan.specs,
                 &plan.dvfs,
+                DVFS_CHURN_STALL_S,
                 &mut gen,
                 &mut buf,
                 plan.interval_s,
@@ -1431,6 +1438,7 @@ fn run_dispatch_scale(smoke: bool, only: Option<&str>) {
                 &mut node,
                 &plan.specs,
                 &plan.dvfs,
+                DVFS_CHURN_STALL_S,
                 &mut gen,
                 &mut buf,
                 plan.interval_s,
@@ -1513,7 +1521,7 @@ fn run_dispatch_scale(smoke: bool, only: Option<&str>) {
         "{{\"bench\":\"hipster dispatch at scale\",\"pr\":\"PR5\",\
          \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
          \"utilization\":{UTILIZATION},\
-         \"impl\":\"PackedHeapNode (frozen PR5 speed-class bitmap + packed-u128 heap)\",\
+         \"impl\":\"PackedHeapNode (bitmap dispatch + frozen PR5 packed-u128 heap)\",\
          \"reference_impl\":\"HeapNode (PR3/4 free-server max-heap)\",\
          \"cells\":[\n  {}\n]{flat}}}\n",
         body.join(",\n  ")
@@ -1819,6 +1827,108 @@ fn closed_streams(
     (thinks, demands)
 }
 
+/// Name of the PR6 matrix's Juno-node cell.
+const JUNO_CELL: &str = "open/memcached-juno/s6";
+
+/// Offered load of the Juno cell, as a fraction of its mean capacity.
+const JUNO_LOAD: f64 = 0.6;
+
+/// Timed passes per side of the Juno cell: short passes, many of them,
+/// interleaved, and the *median* pass recorded — on a shared machine a
+/// lone fast phase can hand one side a best pass 30% below its typical
+/// one, which at this cell's ~70 ms passes decides a best-of race.
+const JUNO_REPS: usize = 15;
+
+/// Floor of the Juno cell: the production node must reach at least this
+/// fraction of the frozen packed-heap node's events/sec.
+const JUNO_FLOOR: f64 = 0.85;
+
+/// The median-wall pass of a cell's timed passes (all of which must have
+/// run the same simulation).
+fn median_pass(mut passes: Vec<Measured>) -> Measured {
+    for p in &passes[1..] {
+        assert_eq!(p.checksum, passes[0].checksum, "nondeterministic replay");
+    }
+    passes.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
+    passes.swap_remove(passes.len() / 2)
+}
+
+/// The Juno-node cell ([`JUNO_CELL`]): the machine every repro node
+/// actually is — 2 big servers at 1150 MHz and 4 small at 650 MHz, so
+/// never more than 6 pending completions — serving Memcached at
+/// [`JUNO_LOAD`] of its capacity, with a DVFS-path reconfigure at every
+/// 50 ms interval boundary whose uniform slowdown carries the engine's
+/// lognormal interference jitter ([`DEFAULT_JITTER_SIGMA`]), the same
+/// per-interval re-key `Engine::step` issues. The production node races
+/// the frozen [`PackedHeapNode`] on one pre-generated stream, interleaved
+/// and digest-compared; the bench-wide 1024–4096-event cells never see
+/// this population, and the completion index must not lose to a heap
+/// at it.
+fn juno_cell(smoke: bool) -> Cell {
+    let model = memcached();
+    let intervals = if smoke { 20 } else { 400 };
+    let interval_s = 0.05;
+    let mut jitter = SimRng::seed(61);
+    let ladder: Vec<Vec<ServerSpec>> = (0..intervals)
+        .map(|_| {
+            // Box–Muller, as the engine draws its interference factor.
+            let u1 = 1.0 - jitter.uniform();
+            let u2 = jitter.uniform();
+            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            let slowdown = (DEFAULT_JITTER_SIGMA * z).exp().max(1.0);
+            let spec = |kind, mhz| {
+                let freq = Frequency::from_mhz(mhz);
+                ServerSpec {
+                    kind,
+                    freq,
+                    speed: model.service_speed(kind, freq),
+                    slowdown,
+                }
+            };
+            let mut specs = vec![spec(CoreKind::Big, 1150); 2];
+            specs.extend([spec(CoreKind::Small, 650); 4]);
+            specs
+        })
+        .collect();
+    let rate = JUNO_LOAD * ladder_capacity_rps(&model, &ladder);
+    let mut buf = Vec::new();
+    let (mut new, mut reference) = (Vec::new(), Vec::new());
+    for rep in 0..JUNO_REPS {
+        // Alternate which side goes first, so neither always runs on the
+        // other's warmed-up (or throttled) tail.
+        for side in [rep % 2, 1 - rep % 2] {
+            let mut gen = OpenStreamGen::new(&model, rate, 61);
+            if side == 0 {
+                let mut node = ServiceNode::new();
+                let m = replay_open(
+                    &mut node, &ladder[0], &ladder, 0.0, &mut gen, &mut buf, interval_s, intervals,
+                );
+                new.push(m);
+            } else {
+                let mut node = PackedHeapNode::new();
+                let m = replay_open(
+                    &mut node, &ladder[0], &ladder, 0.0, &mut gen, &mut buf, interval_s, intervals,
+                );
+                reference.push(m);
+            }
+        }
+    }
+    let (new, reference) = (median_pass(new), median_pass(reference));
+    check_equivalence(JUNO_CELL, &new, &reference);
+    Cell {
+        name: JUNO_CELL.to_string(),
+        mode: "open-juno",
+        servers: 6,
+        clients: None,
+        offered_rps: rate,
+        interval_s,
+        intervals,
+        new,
+        reference,
+        core: None,
+    }
+}
+
 /// The PR6 calendar-queue matrix → `BENCH_PR6.json`: the calendar-backed
 /// [`ServiceNode`] + [`ThinkPool`] vs the frozen PR 5 packed-`u128` heap
 /// ([`PackedHeapNode`] + [`HeapThinkPool`]) on identical streams
@@ -1831,7 +1941,10 @@ fn closed_streams(
 ///   calendar buckets and then starving the ring;
 /// * `closed/web-search/c1024`, `closed/web-search/c4096` — closed-loop
 ///   populations where *both* queues are hot: every event pops/pushes
-///   the think pool and the completion queue.
+///   the think pool and the completion queue;
+/// * `open/memcached-juno/s6` — the real node size (see [`juno_cell`]),
+///   an end-to-end race only: its per-interval rebuilds are outside the
+///   op-trace language.
 ///
 /// Each cell races *two* metrics (see [`CoreOp`] for the rationale):
 ///
@@ -1847,7 +1960,9 @@ fn closed_streams(
 /// When recording a full (non-smoke, unfiltered) run, enforces the PR 6
 /// floors: core-race ≥1.3× at c4096 over the frozen heaps, end-to-end
 /// c4096 ≥1.0× (no regression), and c4096 per-event throughput within
-/// 1.3× of c1024 (flat event loop in the in-flight population).
+/// 1.3× of c1024 (flat event loop in the in-flight population). Any
+/// non-smoke run of the Juno cell (`--only` included) enforces its floor:
+/// the production node at least [`JUNO_FLOOR`]× the frozen heap node.
 fn run_calendar_scale(smoke: bool, only: Option<&str>) {
     let open_model = memcached();
     let closed_model = web_search();
@@ -1961,7 +2076,8 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
         });
     }
 
-    if open_plans.is_empty() && closed_plans.is_empty() {
+    let juno = selected(only, JUNO_CELL);
+    if open_plans.is_empty() && closed_plans.is_empty() && !juno {
         return; // --only matched nothing here; leave the file alone
     }
 
@@ -1983,6 +2099,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -1994,6 +2111,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -2042,6 +2160,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -2053,6 +2172,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -2067,6 +2187,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -2078,6 +2199,7 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
                     &mut node,
                     &plan.specs,
                     &[],
+                    0.0,
                     &mut gen,
                     &mut buf,
                     plan.interval_s,
@@ -2228,6 +2350,26 @@ fn run_calendar_scale(smoke: bool, only: Option<&str>) {
             reference,
             core: Some(core),
         });
+    }
+
+    if juno {
+        let cell = juno_cell(smoke);
+        println!(
+            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}× (floor {JUNO_FLOOR})",
+            cell.name,
+            cell.new.events_per_sec() / 1e6,
+            cell.reference.events_per_sec() / 1e6,
+            cell.speedup(),
+        );
+        if !smoke {
+            assert!(
+                cell.speedup() >= JUNO_FLOOR,
+                "Juno floor: {JUNO_CELL} end-to-end events/sec must be at least \
+                 {JUNO_FLOOR}× the frozen packed-heap node, got {:.2}×",
+                cell.speedup()
+            );
+        }
+        cells.push(cell);
     }
 
     let find = |n: &str| cells.iter().find(|c| c.name == n);
@@ -2461,34 +2603,46 @@ fn run_cluster_scale(smoke: bool, only: Option<&str>) {
     let reps = if smoke { 1 } else { 3 };
     let target_decisions = if smoke { 200_000 } else { 4_000_000 };
 
-    let mut dispatch_cells: Vec<DispatchCell> = Vec::new();
+    // Reps are the outer loop across every dispatch cell, so a slow phase
+    // of a shared machine lands on n64 and n1024 alike instead of on
+    // whichever cell happened to be running — the flatness floor compares
+    // cells, so drift between them must cancel.
+    let mut plans: Vec<(String, DispatchPolicy, usize, usize)> = Vec::new();
     for &nodes in &[64usize, 256, 1024] {
         for (policy, tag) in [
             (DispatchPolicy::PowerOfTwo, "p2c"),
             (DispatchPolicy::LeastLoaded, "least-loaded"),
         ] {
             let name = format!("cluster/dispatch/{tag}/n{nodes}");
-            if !selected(only, &name) {
-                continue;
+            if selected(only, &name) {
+                let intervals = (target_decisions / (nodes * quanta)).max(8);
+                plans.push((name, policy, nodes, intervals));
             }
-            let intervals = (target_decisions / (nodes * quanta)).max(8);
-            let decisions = (nodes * quanta * intervals) as u64;
-            let mut best = f64::INFINITY;
-            for rep in 0..reps {
-                let mut d = Dispatcher::new(policy, nodes, cap);
-                let seed = 0xC105 + rep as u64;
-                best = best.min(drive_dispatch(&mut d, nodes, cap, quanta, intervals, seed));
-            }
-            let cell = DispatchCell {
-                name: name.clone(),
-                policy: policy.name(),
-                nodes,
-                decisions,
-                wall_s: best,
-            };
-            println!("  {name} ... {:.1} ns/decision", cell.ns_per_decision());
-            dispatch_cells.push(cell);
         }
+    }
+    let mut best = vec![f64::INFINITY; plans.len()];
+    for rep in 0..reps {
+        for (i, &(_, policy, nodes, intervals)) in plans.iter().enumerate() {
+            let mut d = Dispatcher::new(policy, nodes, cap);
+            let seed = 0xC105 + rep as u64;
+            best[i] = best[i].min(drive_dispatch(&mut d, nodes, cap, quanta, intervals, seed));
+        }
+    }
+    let mut dispatch_cells: Vec<DispatchCell> = Vec::new();
+    for ((name, policy, nodes, intervals), wall_s) in plans.into_iter().zip(best) {
+        let cell = DispatchCell {
+            name,
+            policy: policy.name(),
+            nodes,
+            decisions: (nodes * quanta * intervals) as u64,
+            wall_s,
+        };
+        println!(
+            "  {} ... {:.1} ns/decision",
+            cell.name,
+            cell.ns_per_decision()
+        );
+        dispatch_cells.push(cell);
     }
 
     let mut sweep_cells: Vec<SweepCell> = Vec::new();

@@ -11,10 +11,21 @@
 //! this year) and are filtered by comparing their virtual day, so
 //! far-future events cost nothing until the cursor actually reaches them.
 //!
-//! Four structural choices keep the constant factor below the binary
+//! Five structural choices keep the constant factor below the binary
 //! heaps this replaces (whose pops walk ~12 cache-hostile levels at 4096
-//! in-flight events):
+//! in-flight events) at every population, from a Juno node's ≤6 pending
+//! completions to thousands of thinking clients:
 //!
+//! * **Small populations skip the ring entirely.** While at most
+//!   `FLAT_MAX` (8, one bucket's slots) entries are live, they all sit in
+//!   the sorted `today` stack: push is a short linear-scan insert, pop a
+//!   `Vec::pop`, and no day mapping, bitmap or activation runs. A ring
+//!   sized from a handful of events is mis-sized for the stream that
+//!   follows (the width of ≤6 in-flight completions leaves about one event
+//!   per bucket, so nearly every pop re-primes), so the ring takes over
+//!   only once a push exceeds `FLAT_MAX` — its width then measured from at
+//!   least nine entries — and hands back when pops drain it to
+//!   `FLAT_MAX / 2`.
 //! * **Buckets are fixed slots in one flat slab**, [`Slot::CAP`] entries
 //!   per bucket plus a byte of occupancy — a `u64` bucket is exactly one
 //!   cache line — so touching a bucket is one indexed access, not a
@@ -128,6 +139,12 @@ impl Slot for u64 {
 /// shrinking further saves nothing.
 const MIN_BUCKETS: usize = 4;
 
+/// Largest population held in flat mode — one bucket's worth of slab
+/// slots. A push past it hands the entries to the ring; a pop down to
+/// `FLAT_MAX / 2` hands them back (the gap keeps a population hovering
+/// around the threshold from re-placing on every event).
+const FLAT_MAX: usize = <u64 as Slot>::CAP;
+
 /// The generic rotating time-bucket core shared by [`CalendarQueue`] and
 /// [`TimerCalendar`]. All invariants live here; the wrappers only pack /
 /// unpack entries at the boundary.
@@ -147,8 +164,13 @@ struct Ring<E> {
     occupied: Vec<u64>,
     /// The current day's events, sorted descending — the global minimum is
     /// `today.last()`. Invariant: non-empty whenever `len > 0` (every
-    /// mutation re-primes), so peek is branch + load.
+    /// mutation re-primes), so peek is branch + load. In flat mode it
+    /// holds *every* entry.
     today: Vec<E>,
+    /// Flat mode: the population is at most [`FLAT_MAX`], every entry
+    /// lives in `today`, and the buckets are empty — no day mapping,
+    /// bitmap walk or activation runs.
+    flat: bool,
     /// `lens.len() - 1`, for mapping virtual days to ring slots.
     mask: u64,
     /// Bucket ("day") width in seconds.
@@ -174,6 +196,7 @@ impl<E: Slot> Ring<E> {
             over: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: vec![0; 1],
             today: Vec::new(),
+            flat: true,
             mask: (MIN_BUCKETS - 1) as u64,
             width: 1.0,
             inv_width: 1.0,
@@ -231,13 +254,24 @@ impl<E: Slot> Ring<E> {
     }
 
     /// Inserts an entry whose event time is `t`. O(1): a slab append in
-    /// its day's bucket — or, for an event landing on the current day, a
-    /// sorted insert into the (tiny) `today` stack, which keeps the
-    /// cached minimum warm for free.
+    /// its day's bucket — or, for an event landing on the current day (or
+    /// any event in flat mode), a sorted insert into the (tiny) `today`
+    /// stack, which keeps the cached minimum warm for free.
     #[inline]
     fn push(&mut self, e: E, t: f64) {
-        let day = self.virtual_day(t);
         self.len += 1;
+        if self.flat {
+            // Descending: insert before the first strictly smaller entry.
+            // A linear scan beats a binary search at ≤ FLAT_MAX entries,
+            // and a new completion is usually the latest, found at once.
+            let pos = self.today.iter().position(|&x| x < e);
+            self.today.insert(pos.unwrap_or(self.today.len()), e);
+            if self.len > FLAT_MAX {
+                self.rebuild(); // outgrew flat mode: spread over the ring
+            }
+            return;
+        }
+        let day = self.virtual_day(t);
         if day == self.cursor && (self.len > 1 || !self.today.is_empty()) {
             // Descending order: find the first position whose entry is
             // strictly smaller and insert before it. `today` is a handful
@@ -269,8 +303,12 @@ impl<E: Slot> Ring<E> {
     fn pop_min(&mut self) -> E {
         let e = self.today.pop().expect("pop_min on empty ring");
         self.len -= 1;
-        if self.lens.len() > MIN_BUCKETS && self.len < self.lens.len() {
-            self.rebuild(); // under-populated: shrink the ring
+        if self.flat {
+            return e;
+        }
+        if self.len <= FLAT_MAX / 2 || (self.lens.len() > MIN_BUCKETS && self.len < self.lens.len())
+        {
+            self.rebuild(); // under-populated: shrink, or back to flat mode
         } else if self.today.is_empty() {
             self.prime();
         }
@@ -441,10 +479,11 @@ impl<E: Slot> Ring<E> {
     ///
     /// Resize policy: the ring grows when the population exceeds 8× the
     /// bucket count and shrinks when it falls below 1× (hysteresis — no
-    /// thrash at a boundary), targeting population/4 rounded up to a power
-    /// of two — about four events per bucket, still under the `CAP` slab
-    /// slots, so overflow stays the exception and the per-day activation
-    /// amortizes over a few pops. The width targets
+    /// thrash at a boundary) or to `FLAT_MAX / 2` (back to flat mode),
+    /// targeting population/4 rounded up to a power of two — about four
+    /// events per bucket, still under the `CAP` slab slots, so overflow
+    /// stays the exception and the per-day activation amortizes over a
+    /// few pops. The width targets
     /// `span / (0.75 × buckets)` where `span` is the live min-to-max event
     /// spread, with one rotation covering the whole span so the in-window
     /// walk, not the direct-search fallback, is the steady-state path.
@@ -465,9 +504,12 @@ impl<E: Slot> Ring<E> {
 
     /// Sizes the ring + width for `entries` and installs them (the shared
     /// tail of `rebuild` and the drain-transform-rebuild reconfiguration
-    /// path).
+    /// path). At most [`FLAT_MAX`] entries go flat and leave `width`
+    /// alone: the span of a handful of in-flight events says nothing about
+    /// the spacing of the events that follow them.
     fn place_all(&mut self, entries: &[E]) {
         self.len = entries.len();
+        self.flat = self.len <= FLAT_MAX;
         let target = (self.len.max(1).div_ceil(4))
             .next_power_of_two()
             .max(MIN_BUCKETS);
@@ -489,6 +531,11 @@ impl<E: Slot> Ring<E> {
         self.occupied.resize(target.div_ceil(64), 0);
         self.today.clear();
         self.mask = (target - 1) as u64;
+        if self.flat {
+            self.today.extend_from_slice(entries);
+            self.today.sort_unstable_by(|a, b| b.cmp(a));
+            return;
+        }
         // Span of the *finite* event times; non-finite outliers would blow
         // the width up to ∞ (every event on day 0, a permanently
         // degenerate calendar), so they ride the saturation path instead.
@@ -513,16 +560,13 @@ impl<E: Slot> Ring<E> {
             self.bucket_insert((day & self.mask) as usize, e);
             self.cursor = self.cursor.min(day);
         }
-        if self.len == 0 {
-            self.cursor = 0;
-        } else {
-            self.prime();
-        }
+        self.prime();
     }
 
     /// Removes all events, keeping the ring allocation.
     fn clear(&mut self) {
         self.today.clear();
+        self.flat = true;
         self.lens.iter_mut().for_each(|l| *l = 0);
         for o in &mut self.over {
             o.clear();
@@ -743,6 +787,24 @@ mod tests {
         out
     }
 
+    /// Pushes `FLAT_MAX + 1` padding events (payloads 100..) spread over
+    /// exactly 3 s from `base`, so a fresh queue leaves flat mode with a
+    /// 4-bucket ring of width 1 s — the geometry the ring-path tests below
+    /// reason in. Returns the padding in pop order. Events the test
+    /// pushes afterwards go through the ring, not the flat stack.
+    fn pad_ring(q: &mut CalendarQueue, base: f64) -> Vec<(f64, usize)> {
+        let pad: Vec<(f64, usize)> = (0..=FLAT_MAX)
+            .map(|i| (base + i as f64 * 3.0 / FLAT_MAX as f64, 100 + i))
+            .collect();
+        for &(t, p) in &pad {
+            q.push(t, p);
+        }
+        assert!(!q.ring.flat, "FLAT_MAX + 1 entries must leave flat mode");
+        assert_eq!(q.num_buckets(), 4);
+        assert_eq!(q.width(), 1.0);
+        pad
+    }
+
     #[test]
     fn key_roundtrip_and_order() {
         let xs = [
@@ -791,7 +853,7 @@ mod tests {
         assert_eq!(q.peek_min_time(), Some(3.0));
     }
 
-    /// Day-boundary wraparound: with a fresh queue (4 buckets, width 1 s)
+    /// Day-boundary wraparound: on a padded ring (4 buckets, width 1 s)
     /// the times k, k+4, k+8 all alias into the same physical bucket —
     /// consecutive rotations of the ring — and must still pop in time
     /// order, crossing the u64 "day" as the cursor advances.
@@ -799,14 +861,17 @@ mod tests {
     fn wraparound_at_day_boundaries() {
         let mut q = CalendarQueue::new();
         assert_eq!(q.num_buckets(), 4);
+        let pad = pad_ring(&mut q, 1000.0);
         // Same slot (day % 4 == 1) across three rotations, pushed shuffled.
         q.push(9.5, 2); // day 9
         q.push(1.5, 0); // day 1
         q.push(5.5, 1); // day 5
         assert_eq!(q.peek_min_time(), Some(1.5));
+        let mut want = vec![(1.5, 0), (5.5, 1), (9.5, 2)];
+        want.extend(pad);
         assert_eq!(
             drain_all(&mut q),
-            vec![(1.5, 0), (5.5, 1), (9.5, 2)],
+            want,
             "rotation aliasing must not reorder pops"
         );
     }
@@ -817,13 +882,17 @@ mod tests {
     #[test]
     fn empty_rotation_skips_to_far_future() {
         let mut q = CalendarQueue::new();
+        let pad = pad_ring(&mut q, 2e9);
         q.push(0.25, 0);
-        q.push(1e9, 1); // ~2^30 rotations ahead of day 0
+        q.push(1e9, 1); // ~2^28 rotations ahead of day 0
         q.push(1e9 + 0.5, 2);
         assert_eq!(q.pop_if_le(f64::INFINITY), Some((0.25, 0)));
+        assert!(!q.ring.flat, "the skip under test is a ring path");
         // The cursor was on day 0; the survivors are a billion days out.
         assert_eq!(q.peek_min_time(), Some(1e9));
-        assert_eq!(drain_all(&mut q), vec![(1e9, 1), (1e9 + 0.5, 2)]);
+        let mut want = vec![(1e9, 1), (1e9 + 0.5, 2)];
+        want.extend(pad);
+        assert_eq!(drain_all(&mut q), want);
     }
 
     /// Over-population doubles the ring; draining it back down shrinks it.
@@ -898,10 +967,11 @@ mod tests {
         assert_eq!(got, want, "tie storm pops in payload order");
     }
 
-    /// Non-finite and negative times follow `total_cmp` order end to end.
+    /// Non-finite and negative times follow `total_cmp` order end to end,
+    /// through the ring's saturating day mapping (padded) and through flat
+    /// mode.
     #[test]
     fn total_cmp_extremes_pop_in_key_order() {
-        let mut q = CalendarQueue::new();
         let times = [
             f64::NAN,
             f64::INFINITY,
@@ -911,11 +981,24 @@ mod tests {
             -3.5,
             f64::NEG_INFINITY,
         ];
+        let mut q = CalendarQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i);
+        }
+        assert!(q.ring.flat);
+        let got: Vec<usize> = drain_all(&mut q).into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, vec![6, 5, 4, 3, 2, 1, 0], "reverse of push order");
+
+        let mut q = CalendarQueue::new();
+        let pad = pad_ring(&mut q, 1000.0);
         for (i, &t) in times.iter().enumerate() {
             q.push(t, i);
         }
         let got: Vec<usize> = drain_all(&mut q).into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, vec![6, 5, 4, 3, 2, 1, 0], "reverse of push order");
+        let mut want = vec![6, 5, 4, 3];
+        want.extend(pad.iter().map(|&(_, p)| p));
+        want.extend([2, 1, 0]);
+        assert_eq!(got, want, "padding sorts between 0.0 and 1e300");
     }
 
     /// Pushes landing on the *current* day (below and above the cached
@@ -924,15 +1007,107 @@ mod tests {
     #[test]
     fn pushes_into_current_day_stay_sorted() {
         let mut q = CalendarQueue::new();
-        q.push(0.50, 0);
+        let pad = pad_ring(&mut q, 1000.0);
+        q.push(0.50, 0); // into the past: the cursor moves to day 0
         q.push(0.90, 1); // same day (width 1.0): sorted insert above
         q.push(0.10, 2); // same day: new minimum
         q.push(0.70, 3);
         assert_eq!(q.peek_min_time(), Some(0.10));
+        let mut want = vec![(0.10, 2), (0.50, 0), (0.70, 3), (0.90, 1)];
+        want.extend(pad);
+        assert_eq!(drain_all(&mut q), want);
+    }
+
+    /// The mis-sizing fix: re-keying a handful of in-flight events (a
+    /// Juno node's ≤6 pending completions at every DVFS reconfiguration)
+    /// goes flat and keeps the measured width, instead of re-measuring it
+    /// from a span that says nothing about the events still to come.
+    #[test]
+    fn small_rebuild_keeps_width() {
+        let mut q = CalendarQueue::new();
+        for i in 0..64 {
+            q.push(i as f64 * 0.1, i);
+        }
+        assert!(!q.ring.flat);
+        let width = q.width();
+        let mut scratch = Vec::new();
+        for n in 2..=6 {
+            q.drain_unordered(&mut scratch);
+            scratch.clear();
+            scratch.extend((0..n).map(|i| (7.0 + i as f64 * 1e-5, n - i)));
+            q.rebuild_from_unpacked(&mut scratch);
+            assert!(q.ring.flat, "{n} entries rebuild flat");
+            assert_eq!(
+                q.width().to_bits(),
+                width.to_bits(),
+                "{n} entries kept the width"
+            );
+            let got = drain_all(&mut q);
+            let want: Vec<(f64, usize)> = (0..n).map(|i| (7.0 + i as f64 * 1e-5, n - i)).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The ring takes over on the push past `FLAT_MAX`, and hands back
+    /// only at `FLAT_MAX / 2` — a population hovering just above the
+    /// threshold neither re-places nor re-measures.
+    #[test]
+    fn flat_mode_thresholds() {
+        let mut q = CalendarQueue::new();
+        for i in 0..FLAT_MAX {
+            q.push(i as f64, i);
+            assert!(q.ring.flat, "{} entries stay flat", i + 1);
+        }
+        q.push(FLAT_MAX as f64, FLAT_MAX);
+        assert!(!q.ring.flat, "the push past FLAT_MAX leaves flat mode");
+        let width = q.width();
+        assert_eq!(q.pop_if_le(f64::INFINITY), Some((0.0, 0)));
+        q.push(20.0, 20);
+        q.push(21.0, 21);
+        assert!(!q.ring.flat);
+        assert_eq!(q.width().to_bits(), width.to_bits(), "no re-measure");
+        while q.len() > FLAT_MAX / 2 + 1 {
+            q.pop_if_le(f64::INFINITY).expect("non-empty");
+            assert!(!q.ring.flat, "{} entries stay in the ring", q.len());
+        }
+        q.pop_if_le(f64::INFINITY).expect("non-empty");
+        assert_eq!(q.len(), FLAT_MAX / 2);
+        assert!(q.ring.flat, "draining to FLAT_MAX / 2 returns to flat mode");
         assert_eq!(
             drain_all(&mut q),
-            vec![(0.10, 2), (0.50, 0), (0.70, 3), (0.90, 1)]
+            vec![(7.0, 7), (8.0, 8), (20.0, 20), (21.0, 21)]
         );
+    }
+
+    /// Drain → rescale → rebuild pops the rescaled keys in order at every
+    /// population on both sides of the flat threshold, including pushes
+    /// landing after the rebuild.
+    #[test]
+    fn rescale_rebuild_across_flat_threshold() {
+        let mut scratch = Vec::new();
+        for n in 1..=2 * FLAT_MAX + 2 {
+            let mut q = CalendarQueue::new();
+            // Scrambled times (a multiplicative walk mod a prime).
+            let times: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 97) as f64 * 0.25).collect();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(t, i);
+            }
+            q.drain_unordered(&mut scratch);
+            for e in &mut scratch {
+                e.0 *= 0.5;
+            }
+            q.rebuild_from_unpacked(&mut scratch);
+            assert_eq!(q.ring.flat, n <= FLAT_MAX, "n = {n}");
+            q.push(3.3, n);
+            let mut want: Vec<(f64, usize)> = times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (t * 0.5, i))
+                .collect();
+            want.push((3.3, n));
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            assert_eq!(drain_all(&mut q), want, "n = {n}");
+        }
     }
 
     /// A bucket that overflows its slab slots (more than `CAP` distinct

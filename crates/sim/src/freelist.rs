@@ -1,89 +1,65 @@
-//! Speed-class bitmap free lists for the service node's dispatch path.
+//! The preference-rank bitmap free list behind the service node's
+//! dispatch path.
 //!
-//! Hipster's action space (big/small core mixes × a few DVFS steps) yields
-//! only a handful of *distinct effective speeds*, so ordering free servers
-//! in a max-heap mostly compares equal keys. [`SpeedClassFreeList`] exploits
-//! that: a small table of distinct effective speeds, sorted fastest-first
-//! and rebuilt only when a reconfiguration actually changes the per-server
-//! speed sequence, where each class holds a **two-level u64 bitset** over
-//! its member servers. Dispatch is "first non-empty class, find set bit" —
-//! O(1) in the server count — and promoting stalled servers whose
-//! reconfiguration stall elapsed is a word-wise bitmap merge.
+//! Dispatch always takes the fastest free server, ties toward the highest
+//! server index. That is one fixed preference order over the servers, so
+//! [`RankFreeList`] sorts them into it once — by (effective speed
+//! descending, index descending), re-sorted only when a reconfiguration
+//! actually changes the per-server speed sequence — and keeps **one
+//! two-level u64 bitset indexed by rank**. Dispatch is "lowest set rank":
+//! find-first-set over the summary word, then over the leaf word — O(1)
+//! in the server count, and on a Juno node (≤6 servers) a single word
+//! each. Promoting stalled servers whose reconfiguration stall elapsed is
+//! a word-wise merge of a parallel stalled bitset.
 //!
-//! Tie-breaking replicates the free-server max-heap it replaced exactly:
-//! the fastest class wins, and within a class the *highest* server index
-//! wins (members are stored in ascending index order, so the leading set
-//! bit of the highest non-zero word is the highest index).
+//! Tie-breaking replicates the free-server max-heap the PR 5 speed-class
+//! table replaced exactly: rank order *is* the heap's `(eff, index)`
+//! order, fastest first and, among equal speeds, the highest index.
 
-/// Where one server lives in the class table: its class index and its rank
-/// (bit position) within that class's bitmaps.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    class: u32,
-    rank: u32,
-}
-
-/// One distinct effective speed and the free/stalled bitmaps over the
-/// servers running at that speed.
-#[derive(Debug, Clone, Default)]
-struct SpeedClass {
-    /// Effective speed (`speed / slowdown`) shared by all members.
-    eff: f64,
-    /// Member server indices, ascending (rank → server index).
-    members: Vec<u32>,
-    /// Free bitmap over ranks (leaf level).
-    free: Vec<u64>,
-    /// Occupancy of `free`'s words (summary level): bit `w` set when
-    /// `free[w] != 0`.
-    free_summary: Vec<u64>,
-    /// Stalled bitmap over ranks (servers parked until their
-    /// reconfiguration stall elapses).
-    stalled: Vec<u64>,
-    /// Number of set bits in `free` (drives the class-occupancy bit).
-    free_count: usize,
-}
-
-/// Free-server index bucketed by effective speed, bitmap-backed.
+/// Free-server index in dispatch-preference order, bitmap-backed.
 ///
 /// Replaces the `BinaryHeap<(eff, server)>` + stalled `Vec` pair of the
 /// PR 3/4-era node (frozen as [`crate::reference::HeapNode`]):
 ///
-/// * [`pop_best`](SpeedClassFreeList::pop_best) — fastest free server,
-///   ties toward the highest index — is O(1): find-first-set over the
-///   class-occupancy words, then leading-bit selection in the winning
-///   class's two-level bitset.
-/// * [`mark_free`](SpeedClassFreeList::mark_free) /
-///   [`mark_stalled`](SpeedClassFreeList::mark_stalled) are O(1) bit sets.
-/// * [`promote`](SpeedClassFreeList::promote) merges every stalled server
-///   into the free bitmaps word-wise when the latest stall has elapsed
-///   (the common case — one reconfiguration stalls all idle servers until
-///   the same instant), falling back to a per-bit eligibility check only
+/// * [`pop_best`](RankFreeList::pop_best) — fastest free server, ties
+///   toward the highest index — is O(1): the lowest set rank of the
+///   two-level free bitset.
+/// * [`mark_free`](RankFreeList::mark_free) /
+///   [`mark_stalled`](RankFreeList::mark_stalled) are O(1) bit sets.
+/// * [`promote`](RankFreeList::promote) merges every stalled server into
+///   the free bitset word-wise when the latest stall has elapsed (the
+///   common case — one reconfiguration stalls all idle servers until the
+///   same instant), falling back to a per-bit eligibility check only
 ///   while inside a stall window.
-/// * [`rebuild`](SpeedClassFreeList::rebuild) re-derives the class table
+/// * [`rebuild`](RankFreeList::rebuild) re-sorts the preference order
 ///   only when the per-server effective-speed sequence actually changed;
-///   otherwise it just clears the bitmaps (a few word fills).
+///   otherwise it just clears the bitsets (a few word fills).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SpeedClassFreeList {
-    /// Distinct effective speeds, fastest first.
-    classes: Vec<SpeedClass>,
-    /// Bit `c` set when class `c` has at least one free server.
-    class_occ: Vec<u64>,
-    /// Per-server (class, rank) lookup.
-    slot: Vec<Slot>,
-    /// Per-server effective-speed bit patterns of the current table, for
-    /// change detection in [`rebuild`](SpeedClassFreeList::rebuild).
+pub(crate) struct RankFreeList {
+    /// Servers in preference order (rank → server index).
+    order: Vec<u32>,
+    /// Inverse of `order` (server index → rank).
+    rank_of: Vec<u32>,
+    /// Free bitset over ranks (leaf level).
+    free: Vec<u64>,
+    /// Occupancy of `free`'s words (summary level): bit `w` set when
+    /// `free[w] != 0`.
+    free_summary: Vec<u64>,
+    /// Stalled bitset over ranks (servers parked until their
+    /// reconfiguration stall elapses).
+    stalled: Vec<u64>,
+    /// Per-server effective-speed bit patterns of the current order, for
+    /// change detection in [`rebuild`](RankFreeList::rebuild).
     eff_seq: Vec<u64>,
-    /// Scratch for the distinct-speed sort (reused across rebuilds).
-    distinct: Vec<f64>,
-    /// Total stalled servers across all classes.
+    /// Number of stalled servers.
     stalled_count: usize,
     /// Latest `available_at` among stalled servers; once `now` passes it,
     /// promotion is a word-wise merge with no per-server checks.
     stalled_max_avail: f64,
 }
 
-impl SpeedClassFreeList {
-    /// Creates an empty free list (no servers, no classes).
+impl RankFreeList {
+    /// Creates an empty free list (no servers).
     pub fn new() -> Self {
         Self::default()
     }
@@ -93,8 +69,8 @@ impl SpeedClassFreeList {
     /// stalled; the caller marks each idle server stalled afterwards.
     ///
     /// When the speed sequence is unchanged from the previous rebuild (the
-    /// steady-state interval boundary), the class table, membership lists
-    /// and slots are kept and only the bitmaps are cleared.
+    /// steady-state interval boundary), the order is kept and only the
+    /// bitsets are cleared.
     pub fn rebuild<I>(&mut self, effs: I)
     where
         I: Iterator<Item = f64> + Clone,
@@ -110,81 +86,35 @@ impl SpeedClassFreeList {
         changed |= n != self.eff_seq.len();
 
         if changed {
-            self.rebuild_classes(effs, n);
-        } else {
-            for cls in &mut self.classes {
-                cls.free.fill(0);
-                cls.free_summary.fill(0);
-                cls.stalled.fill(0);
-                cls.free_count = 0;
+            self.eff_seq.clear();
+            self.eff_seq.extend(effs.map(f64::to_bits));
+            let eff = |i: u32| f64::from_bits(self.eff_seq[i as usize]);
+            self.order.clear();
+            self.order.extend(0..n as u32);
+            // Fastest first, then highest index. Equal speeds share one
+            // bit pattern (speeds are positive finite quotients), so
+            // `total_cmp` equality is exactly speed equality.
+            self.order
+                .sort_unstable_by(|&a, &b| eff(b).total_cmp(&eff(a)).then(b.cmp(&a)));
+            self.rank_of.clear();
+            self.rank_of.resize(n, 0);
+            for (r, &i) in self.order.iter().enumerate() {
+                self.rank_of[i as usize] = r as u32;
             }
-            self.class_occ.fill(0);
+            let words = n.div_ceil(64);
+            self.free.clear();
+            self.free.resize(words, 0);
+            self.free_summary.clear();
+            self.free_summary.resize(words.div_ceil(64).max(1), 0);
+            self.stalled.clear();
+            self.stalled.resize(words, 0);
+        } else {
+            self.free.fill(0);
+            self.free_summary.fill(0);
+            self.stalled.fill(0);
         }
         self.stalled_count = 0;
         self.stalled_max_avail = f64::NEG_INFINITY;
-    }
-
-    /// Full class-table rebuild: sort + dedup the distinct speeds, assign
-    /// every server a (class, rank) slot, size the bitmaps. O(n log C).
-    fn rebuild_classes<I>(&mut self, effs: I, n: usize)
-    where
-        I: Iterator<Item = f64> + Clone,
-    {
-        self.eff_seq.clear();
-        self.eff_seq.extend(effs.clone().map(f64::to_bits));
-
-        self.distinct.clear();
-        self.distinct.extend(effs.clone());
-        // Fastest first; equal speeds share one bit pattern (speeds are
-        // positive finite quotients), so bit-equality dedup is exact.
-        self.distinct.sort_by(|a, b| b.total_cmp(a));
-        self.distinct.dedup_by(|a, b| a.to_bits() == b.to_bits());
-
-        // Reuse existing class entries (and their bitmap capacity).
-        while self.classes.len() < self.distinct.len() {
-            self.classes.push(SpeedClass::default());
-        }
-        self.classes.truncate(self.distinct.len());
-        for (cls, &eff) in self.classes.iter_mut().zip(&self.distinct) {
-            cls.eff = eff;
-            cls.members.clear();
-            cls.free_count = 0;
-        }
-
-        self.slot.clear();
-        self.slot.resize(n, Slot::default());
-        for (i, e) in effs.enumerate() {
-            let c = self
-                .distinct
-                .binary_search_by(|probe| e.total_cmp(probe))
-                .expect("every server speed is in the distinct table");
-            let cls = &mut self.classes[c];
-            self.slot[i] = Slot {
-                class: c as u32,
-                rank: cls.members.len() as u32,
-            };
-            cls.members.push(i as u32);
-        }
-
-        for cls in &mut self.classes {
-            let words = cls.members.len().div_ceil(64);
-            let summary_words = words.div_ceil(64).max(1);
-            cls.free.clear();
-            cls.free.resize(words, 0);
-            cls.free_summary.clear();
-            cls.free_summary.resize(summary_words, 0);
-            cls.stalled.clear();
-            cls.stalled.resize(words, 0);
-        }
-        self.class_occ.clear();
-        self.class_occ
-            .resize(self.classes.len().div_ceil(64).max(1), 0);
-    }
-
-    /// Number of distinct speed classes in the current table.
-    #[cfg(test)]
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
     }
 
     /// Whether any server is parked in a stall window.
@@ -199,13 +129,9 @@ impl SpeedClassFreeList {
     /// stalled.
     #[inline]
     pub fn mark_free(&mut self, server: usize) {
-        let Slot { class, rank } = self.slot[server];
-        let (c, r) = (class as usize, rank as usize);
-        let cls = &mut self.classes[c];
-        cls.free[r / 64] |= 1u64 << (r % 64);
-        cls.free_summary[r / 64 / 64] |= 1u64 << (r / 64 % 64);
-        cls.free_count += 1;
-        self.class_occ[c / 64] |= 1u64 << (c % 64);
+        let r = self.rank_of[server] as usize;
+        self.free[r / 64] |= 1u64 << (r % 64);
+        self.free_summary[r / 64 / 64] |= 1u64 << (r / 64 % 64);
     }
 
     /// Parks `server` (idle, but inside a reconfiguration stall until
@@ -215,49 +141,32 @@ impl SpeedClassFreeList {
     /// stalled.
     #[inline]
     pub fn mark_stalled(&mut self, server: usize, available_at: f64) {
-        let Slot { class, rank } = self.slot[server];
-        let (c, r) = (class as usize, rank as usize);
-        self.classes[c].stalled[r / 64] |= 1u64 << (r % 64);
+        let r = self.rank_of[server] as usize;
+        self.stalled[r / 64] |= 1u64 << (r % 64);
         self.stalled_count += 1;
         if available_at > self.stalled_max_avail {
             self.stalled_max_avail = available_at;
         }
     }
 
-    /// Removes and returns the preferred free server: fastest class, ties
-    /// toward the highest server index. O(1): find-first-set over the
-    /// class-occupancy words, then leading-bit selection within the class.
+    /// Removes and returns the preferred free server: fastest, ties
+    /// toward the highest server index. O(1): the lowest set rank, found
+    /// by find-first-set over the summary, then the leaf word.
     #[inline]
     pub fn pop_best(&mut self) -> Option<usize> {
-        let mut c = None;
-        for (wi, &w) in self.class_occ.iter().enumerate() {
-            if w != 0 {
-                c = Some(wi * 64 + w.trailing_zeros() as usize);
-                break;
-            }
+        let swi = self.free_summary.iter().position(|&w| w != 0)?;
+        let wi = swi * 64 + self.free_summary[swi].trailing_zeros() as usize;
+        let w = self.free[wi];
+        let r = wi * 64 + w.trailing_zeros() as usize;
+        self.free[wi] = w & (w - 1);
+        if self.free[wi] == 0 {
+            self.free_summary[swi] &= !(1u64 << (wi % 64));
         }
-        let c = c?;
-        let cls = &mut self.classes[c];
-        let swi = cls
-            .free_summary
-            .iter()
-            .rposition(|&w| w != 0)
-            .expect("occupied class has a summary bit");
-        let wi = swi * 64 + (63 - cls.free_summary[swi].leading_zeros() as usize);
-        let r = wi * 64 + (63 - cls.free[wi].leading_zeros() as usize);
-        cls.free[wi] &= !(1u64 << (r % 64));
-        if cls.free[wi] == 0 {
-            cls.free_summary[swi] &= !(1u64 << (wi % 64));
-        }
-        cls.free_count -= 1;
-        if cls.free_count == 0 {
-            self.class_occ[c / 64] &= !(1u64 << (c % 64));
-        }
-        Some(cls.members[r] as usize)
+        Some(self.order[r] as usize)
     }
 
     /// Promotes stalled servers whose stall has elapsed at `now` into the
-    /// free bitmaps. When `now` has passed the *latest* stall deadline —
+    /// free bitset. When `now` has passed the *latest* stall deadline —
     /// the common case, since one reconfiguration stalls every idle server
     /// until the same instant — this is a word-wise `free |= stalled` merge
     /// with no per-server work. Inside a stall window it falls back to a
@@ -267,36 +176,27 @@ impl SpeedClassFreeList {
             return;
         }
         let merge_all = now >= self.stalled_max_avail;
-        for (c, cls) in self.classes.iter_mut().enumerate() {
-            let mut gained = 0usize;
-            for w in 0..cls.stalled.len() {
-                let mut st = cls.stalled[w];
-                if st == 0 {
-                    continue;
-                }
-                if merge_all {
-                    cls.free[w] |= st;
-                    cls.free_summary[w / 64] |= 1u64 << (w % 64);
-                    gained += st.count_ones() as usize;
-                    cls.stalled[w] = 0;
-                    continue;
-                }
-                while st != 0 {
-                    let b = st.trailing_zeros() as usize;
-                    st &= st - 1;
-                    let server = cls.members[w * 64 + b] as usize;
-                    if avail_of(server) <= now {
-                        cls.stalled[w] &= !(1u64 << b);
-                        cls.free[w] |= 1u64 << b;
-                        cls.free_summary[w / 64] |= 1u64 << (w % 64);
-                        gained += 1;
-                        self.stalled_count -= 1;
-                    }
-                }
+        for w in 0..self.stalled.len() {
+            let mut st = self.stalled[w];
+            if st == 0 {
+                continue;
             }
-            if gained > 0 {
-                cls.free_count += gained;
-                self.class_occ[c / 64] |= 1u64 << (c % 64);
+            if merge_all {
+                self.free[w] |= st;
+                self.free_summary[w / 64] |= 1u64 << (w % 64);
+                self.stalled[w] = 0;
+                continue;
+            }
+            while st != 0 {
+                let b = st.trailing_zeros() as usize;
+                st &= st - 1;
+                let server = self.order[w * 64 + b] as usize;
+                if avail_of(server) <= now {
+                    self.stalled[w] &= !(1u64 << b);
+                    self.free[w] |= 1u64 << b;
+                    self.free_summary[w / 64] |= 1u64 << (w % 64);
+                    self.stalled_count -= 1;
+                }
             }
         }
         if merge_all {
@@ -309,21 +209,22 @@ impl SpeedClassFreeList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn build(effs: &[f64]) -> SpeedClassFreeList {
-        let mut fl = SpeedClassFreeList::new();
+    fn build(effs: &[f64]) -> RankFreeList {
+        let mut fl = RankFreeList::new();
         fl.rebuild(effs.iter().copied());
         fl
     }
 
     #[test]
-    fn pops_fastest_class_then_highest_index() {
-        // Servers 0..6 with speeds: two classes (4.0 fast, 2.0 slow).
+    fn pops_fastest_then_highest_index() {
+        // Servers 0..6 with two speeds (4.0 fast, 2.0 slow).
         let mut fl = build(&[2.0, 4.0, 2.0, 4.0, 2.0, 4.0]);
         for i in 0..6 {
             fl.mark_free(i);
         }
-        // Fast class indices descending, then slow class descending —
+        // Fast servers by index descending, then slow ones descending —
         // exactly the (eff, index) max-heap pop order.
         let order: Vec<usize> = std::iter::from_fn(|| fl.pop_best()).collect();
         assert_eq!(order, vec![5, 3, 1, 4, 2, 0]);
@@ -337,7 +238,7 @@ mod tests {
         assert_eq!(fl.pop_best(), Some(0));
         fl.mark_free(1);
         fl.mark_free(0);
-        assert_eq!(fl.pop_best(), Some(1), "faster class preferred");
+        assert_eq!(fl.pop_best(), Some(1), "faster server preferred");
         fl.mark_free(2);
         fl.mark_free(1);
         assert_eq!(fl.pop_best(), Some(2), "highest index wins the tie");
@@ -348,7 +249,7 @@ mod tests {
 
     #[test]
     fn stalled_merge_promotes_word_wise() {
-        let mut fl = build(&[2.0; 130]); // one class, 3 leaf words
+        let mut fl = build(&[2.0; 130]); // one speed, 3 leaf words
         for i in 0..130 {
             fl.mark_stalled(i, 5.0);
         }
@@ -383,37 +284,110 @@ mod tests {
         assert!(!fl.has_stalled());
     }
 
-    #[test]
-    fn rebuild_detects_speed_changes() {
-        let mut fl = build(&[1.0, 2.0]);
-        assert_eq!(fl.num_classes(), 2);
-        // Same sequence: table kept, bitmaps cleared.
-        fl.mark_free(0);
-        fl.rebuild([1.0, 2.0].into_iter());
-        assert_eq!(fl.pop_best(), None, "rebuild clears the free bitmaps");
-        // Changed sequence: table rebuilt.
-        fl.rebuild([4.0, 4.0].into_iter());
-        assert_eq!(fl.num_classes(), 1);
-        fl.mark_free(0);
-        fl.mark_free(1);
-        assert_eq!(fl.pop_best(), Some(1));
-        // Count change alone is a change.
-        fl.rebuild([4.0, 4.0, 4.0].into_iter());
-        assert_eq!(fl.num_classes(), 1);
-        fl.mark_free(2);
-        assert_eq!(fl.pop_best(), Some(2));
+    /// One step of the free-list driving sequence.
+    #[derive(Debug, Clone)]
+    enum FOp {
+        /// Free the `pick`-th idle server (modulo the idle count).
+        Free { pick: usize },
+        /// Stall the `pick`-th idle server until `avail`.
+        Stall { pick: usize, avail: f64 },
+        /// Pop the preferred free server.
+        Pop,
+        /// Promote at `now`.
+        Promote { now: f64 },
+        /// Rebuild over new speeds (re-sorts the order).
+        Rebuild { speeds: Vec<u8> },
+        /// Rebuild over the current speeds (keeps the order, clears the
+        /// bitsets) — the steady-state interval boundary.
+        Reset,
     }
 
-    #[test]
-    fn wide_class_table_spans_occupancy_words() {
-        // 100 distinct speeds → the class-occupancy bitmap needs 2 words.
-        let effs: Vec<f64> = (0..100).map(|i| 1.0 + i as f64).collect();
+    fn fop_strategy() -> impl Strategy<Value = FOp> {
+        prop_oneof![
+            (0usize..200).prop_map(|pick| FOp::Free { pick }),
+            (0usize..200, 0.0f64..4.0).prop_map(|(pick, avail)| FOp::Stall { pick, avail }),
+            Just(FOp::Pop),
+            (0.0f64..5.0).prop_map(|now| FOp::Promote { now }),
+            prop::collection::vec(0u8..4, 1..140).prop_map(|speeds| FOp::Rebuild { speeds }),
+            Just(FOp::Reset),
+        ]
+    }
+
+    /// Drives the free list and a sorted oracle of the free set (`(eff,
+    /// index)` max first — the heap order dispatch must reproduce) through
+    /// `ops`, asserting every pop agrees.
+    fn run_oracle(ops: &[FOp]) {
+        let speed = |s: u8| [0.5, 1.0, 2.0, 3.5][s as usize];
+        let mut effs: Vec<f64> = vec![1.0; 6];
         let mut fl = build(&effs);
-        assert_eq!(fl.num_classes(), 100);
-        fl.mark_free(0); // slowest → class 99, second occupancy word
-        fl.mark_free(99); // fastest → class 0
-        assert_eq!(fl.pop_best(), Some(99));
-        assert_eq!(fl.pop_best(), Some(0));
-        assert_eq!(fl.pop_best(), None);
+        // Per-server state: 0 idle (neither set), 1 free, 2 stalled.
+        let mut state = vec![0u8; effs.len()];
+        let mut avail = vec![0.0f64; effs.len()];
+        for op in ops {
+            match op {
+                FOp::Free { pick } | FOp::Stall { pick, .. } => {
+                    let idle: Vec<usize> = (0..effs.len()).filter(|&i| state[i] == 0).collect();
+                    if idle.is_empty() {
+                        continue;
+                    }
+                    let i = idle[pick % idle.len()];
+                    if let FOp::Stall { avail: a, .. } = op {
+                        fl.mark_stalled(i, *a);
+                        state[i] = 2;
+                        avail[i] = *a;
+                    } else {
+                        fl.mark_free(i);
+                        state[i] = 1;
+                    }
+                }
+                FOp::Pop => {
+                    let want = (0..effs.len())
+                        .filter(|&i| state[i] == 1)
+                        .max_by(|&a, &b| effs[a].total_cmp(&effs[b]).then(a.cmp(&b)));
+                    let got = fl.pop_best();
+                    assert_eq!(got, want, "pop diverged from the sorted oracle");
+                    if let Some(i) = got {
+                        state[i] = 0;
+                    }
+                }
+                FOp::Promote { now } => {
+                    fl.promote(*now, |i| avail[i]);
+                    for i in 0..effs.len() {
+                        if state[i] == 2 && avail[i] <= *now {
+                            state[i] = 1;
+                        }
+                    }
+                    let stalled = state.contains(&2);
+                    assert_eq!(fl.has_stalled(), stalled, "stalled flag diverged");
+                }
+                FOp::Rebuild { .. } | FOp::Reset => {
+                    if let FOp::Rebuild { speeds } = op {
+                        effs = speeds.iter().map(|&s| speed(s)).collect();
+                    }
+                    fl.rebuild(effs.iter().copied());
+                    state = vec![0; effs.len()];
+                    avail = vec![0.0; effs.len()];
+                }
+            }
+        }
+        let mut rest = Vec::new();
+        fl.promote(f64::INFINITY, |_| 0.0);
+        while let Some(i) = fl.pop_best() {
+            rest.push(i);
+        }
+        let mut want: Vec<usize> = (0..effs.len()).filter(|&i| state[i] != 0).collect();
+        want.sort_by(|&a, &b| effs[b].total_cmp(&effs[a]).then(b.cmp(&a)));
+        assert_eq!(rest, want, "final drain diverged from the sorted oracle");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pops_match_sorted_free_set_oracle(
+            ops in prop::collection::vec(fop_strategy(), 1..400),
+        ) {
+            run_oracle(&ops);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! sweeps over every server, float-equality completion lookup, full-sort
 //! percentiles, a `Vec` thinking pool with O(n) scans) with indexed heaps
 //! and order statistics; PR 5 then replaced the free-server max-heap with
-//! speed-class bitmap free lists; PR 6 replaced the packed-`u128`
+//! bitmap free lists (today one preference-rank bitset); PR 6 replaced
+//! the packed-`u128`
 //! completion heap and the binary-heap think pool with the calendar queue.
 //! This module preserves the *old* implementations, verbatim in behaviour,
 //! for two purposes:
@@ -975,8 +976,9 @@ impl CompletionQueue for PackedHeap {
 
 /// The production node body instantiated over the frozen [`PackedHeap`]:
 /// a bit-identical PR 5-era service node where *only* the completion index
-/// differs from [`ServiceNode`](crate::ServiceNode). This is the baseline
-/// the `BENCH_PR6.json` matrix races.
+/// differs from [`ServiceNode`](crate::ServiceNode) — the free list is the
+/// production one. This is the baseline the `BENCH_PR6.json` matrix
+/// races.
 pub type PackedHeapNode = QueuedNode<PackedHeap>;
 
 /// The PR 3–5 closed-loop thinking pool, frozen verbatim: a binary

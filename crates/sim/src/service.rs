@@ -21,15 +21,18 @@
 //! * pending completions live in a [`CalendarQueue`] of `(finish, server)`
 //!   events — finding and retiring the earliest completion is an O(1)
 //!   amortized bucket pop (PR 6; previously an O(log n) heap pop, and
-//!   before that a scan plus a float-equality re-scan);
-//! * free servers live in **speed-class bitmap free lists**
-//!   (`freelist.rs`): a small table of distinct effective speeds
-//!   (`speed / slowdown`), rebuilt only when a reconfiguration changes the
-//!   speed sequence, where each class keeps a two-level u64 bitset of its
-//!   free members — `dispatch` is "first non-empty class, find set bit" in
-//!   O(1), and servers still inside a reconfiguration stall wait in
-//!   parallel stalled bitmaps that are promoted by a word-wise merge when
-//!   the stall elapses;
+//!   before that a scan plus a float-equality re-scan). A Juno node's ≤6
+//!   pending completions never leave the queue's flat mode: one sorted
+//!   stack, an insert per dispatch and a `Vec::pop` per completion, which
+//!   a per-interval DVFS rebuild cannot mis-size;
+//! * free servers live in a **preference-rank bitmap free list**
+//!   (`freelist.rs`): the servers sorted once by (effective speed
+//!   `speed / slowdown` descending, index descending) — re-sorted only
+//!   when a reconfiguration changes the speed sequence — under one
+//!   two-level u64 bitset indexed by rank, so `dispatch` is "lowest set
+//!   rank" in O(1), and servers still inside a reconfiguration stall wait
+//!   in a parallel stalled bitset that is promoted by a word-wise merge
+//!   when the stall elapses;
 //! * the in-flight count is tracked incrementally, and interval-boundary
 //!   busy accounting walks the pending-completion entries (the busy
 //!   servers) rather than every server.
@@ -54,7 +57,7 @@ use hipster_platform::{CoreKind, Frequency};
 
 use crate::calendar::CalendarQueue;
 use crate::completion::CompletionQueue;
-use crate::freelist::SpeedClassFreeList;
+use crate::freelist::RankFreeList;
 use crate::latency::LatencyRecorder;
 use crate::request::{Demand, Request, RequestId};
 
@@ -149,7 +152,7 @@ pub struct NodeInterval {
 ///
 /// Indexed for event-count scalability: pending completions in a
 /// `(finish, server)` min-queue (the production [`CalendarQueue`]: O(1)
-/// amortized), free servers in speed-class bitmap free lists (O(1)
+/// amortized), free servers in a preference-rank bitmap free list (O(1)
 /// dispatch — `freelist.rs`) and an incremental in-flight count, with
 /// tie-breaking that reproduces the PR 5 packed heap, the PR 3/4-era
 /// heaps, and the original linear scans bit-for-bit (see
@@ -163,22 +166,22 @@ pub struct QueuedNode<Q: CompletionQueue> {
     rate: Vec<Rate>,
     /// Cold per-server records (reconfiguration paths).
     cold: Vec<ColdServer>,
-    /// Per-server effective speed, `speed / slowdown` (the speed-class
-    /// key; read only by the free-list rebuild).
+    /// Per-server effective speed, `speed / slowdown` (the dispatch
+    /// preference key; read only by the free-list rebuild).
     eff: Vec<f64>,
     /// Min-queue of pending completions, one entry per busy server.
     /// Entries are never stale: reconfigurations rebuild the queue and
     /// completions pop their own entry.
     completions: Q,
-    /// Free servers bucketed by effective speed: per-class two-level
-    /// bitmaps of dispatchable servers, plus parallel stalled bitmaps for
+    /// Free servers in dispatch-preference order: one two-level bitset of
+    /// dispatchable servers by rank, plus a parallel stalled bitset for
     /// servers parked inside a reconfiguration stall. Reconfigurations park
     /// every idle server stalled, and dispatch demotes popped servers whose
     /// stall has not elapsed at its (non-monotonic) timestamp; the first
     /// dispatch with a non-empty queue promotes the eligible ones (usually
     /// one word-wise merge), so on the steady-state hot path the emptiness
     /// check is all that runs.
-    free: SpeedClassFreeList,
+    free: RankFreeList,
     recorder: LatencyRecorder,
     /// Reused buffer for preempted in-flight requests (no allocation per
     /// reconfiguration once warm).
@@ -220,7 +223,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
             cold: Vec::new(),
             eff: Vec::new(),
             completions: Q::default(),
-            free: SpeedClassFreeList::new(),
+            free: RankFreeList::new(),
             recorder: LatencyRecorder::new(),
             preempt_scratch: Vec::new(),
             completion_scratch: Vec::new(),
@@ -280,7 +283,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     ///   (migration or DVFS transition latency).
     ///
     /// Rebuilds the completion queue (in O(n)) and the free-list
-    /// bitmaps; the speed-class table itself is re-derived only when the
+    /// bitsets; the preference order itself is re-sorted only when the
     /// per-server effective-speed sequence actually changed.
     ///
     /// # Panics
@@ -367,7 +370,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     /// full-revocation path ([`QueuedNode::reconfigure`] itself rejects
     /// an empty server list). In-flight requests are preempted with their
     /// remaining demand preserved and requeued in arrival order; the
-    /// server set, speed-class free lists, and pending-completion queue
+    /// server set, free list, and pending-completion queue
     /// all empty out. Arrivals keep queueing (and timed-out ones keep
     /// shedding at dispatch) until a preempting `reconfigure` brings
     /// servers back.

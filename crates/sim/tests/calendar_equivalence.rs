@@ -16,6 +16,9 @@
 //!   [`ServiceNode`] against [`PackedHeapNode`], the same node body
 //!   instantiated over the frozen heap, asserting bit-identical completion
 //!   streams and interval statistics;
+//! * a small-population arm whose size hovers in `0..=2·FLAT_MAX`, the
+//!   regime of a Juno node's completions, crossing the calendar's
+//!   flat-mode hand-offs;
 //! * a parallel [`ThinkPool`] differential against the frozen
 //!   [`HeapThinkPool`], covering `retire_latest` population shrinks.
 //!
@@ -197,6 +200,101 @@ fn run_queue_differential(ops: &[QOp]) {
         );
     }
     // Full drain: every remaining event must pop in the same order.
+    loop {
+        let a = cal.pop_if_le(f64::INFINITY);
+        let b = heap.pop_if_le(f64::INFINITY);
+        assert_eq!(
+            a.map(|(t, s)| (t.to_bits(), s)),
+            b.map(|(t, s)| (t.to_bits(), s)),
+            "final drain diverged"
+        );
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Small-population differential: the calendar's flat mode and its hand-offs
+// to and from the ring, against the same frozen heap.
+// ---------------------------------------------------------------------------
+
+/// The calendar's flat-mode population limit (one bucket's slab slots).
+const FLAT_MAX: usize = 8;
+
+/// One step of the hovering-population driving sequence.
+#[derive(Debug, Clone)]
+enum HOp {
+    /// An event at `now + dt`, unless the population is at `2·FLAT_MAX`.
+    Push { dt: f64 },
+    /// Pop one event, unless empty.
+    Pop,
+    /// DVFS-style drain, rescale about `now`, rebuild.
+    Rescale { factor: f64 },
+}
+
+fn hop_strategy() -> impl Strategy<Value = HOp> {
+    prop_oneof![
+        (0.0f64..0.01).prop_map(|dt| HOp::Push { dt }),
+        (0.0f64..4.0).prop_map(|dt| HOp::Push { dt }),
+        Just(HOp::Pop),
+        Just(HOp::Pop),
+        (0.25f64..4.0).prop_map(|factor| HOp::Rescale { factor }),
+    ]
+}
+
+/// Keeps the population inside `0..=2·FLAT_MAX` — the Juno node's ≤6
+/// pending completions and a Web-Search think pool of ~8–10 clients both
+/// live here — so every op runs in flat mode, in a small ring, or across
+/// the hand-off between them, asserting identical pops and peeks.
+fn run_hover_differential(ops: &[HOp]) {
+    let mut cal = CalendarQueue::new();
+    let mut heap = PackedHeap::new();
+    let mut now = 0.0f64;
+    let mut payload = 0usize;
+    let mut scratch_a: Vec<(f64, usize)> = Vec::new();
+    let mut scratch_b: Vec<(f64, usize)> = Vec::new();
+    for op in ops {
+        match *op {
+            HOp::Push { dt } => {
+                if cal.len() < 2 * FLAT_MAX {
+                    cal.push(now + dt, payload);
+                    heap.push(now + dt, payload);
+                    payload += 1;
+                }
+            }
+            HOp::Pop => {
+                let a = cal.pop_if_le(f64::INFINITY);
+                let b = heap.pop_if_le(f64::INFINITY);
+                assert_eq!(
+                    a.map(|(t, s)| (t.to_bits(), s)),
+                    b.map(|(t, s)| (t.to_bits(), s)),
+                    "hovering pop diverged"
+                );
+                if let Some((t, _)) = a {
+                    now = now.max(t);
+                }
+            }
+            HOp::Rescale { factor } => {
+                cal.drain_unordered(&mut scratch_a);
+                scratch_a.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+                for e in &mut scratch_a {
+                    e.0 = now + (e.0 - now) * factor;
+                }
+                CompletionQueue::drain_unordered(&mut heap, &mut scratch_b);
+                scratch_b.clear();
+                scratch_b.extend_from_slice(&scratch_a);
+                cal.rebuild_from_unpacked(&mut scratch_a);
+                CompletionQueue::rebuild_from(&mut heap, &mut scratch_b);
+            }
+        }
+        assert_eq!(cal.len(), heap.len(), "len diverged");
+        assert_eq!(
+            cal.peek_min_time().map(f64::to_bits),
+            heap.peek_finish().map(f64::to_bits),
+            "peek diverged"
+        );
+    }
     loop {
         let a = cal.pop_if_le(f64::INFINITY);
         let b = heap.pop_if_le(f64::INFINITY);
@@ -457,6 +555,13 @@ proptest! {
         ops in prop::collection::vec(qop_strategy(), 1..300),
     ) {
         run_queue_differential(&ops);
+    }
+
+    #[test]
+    fn calendar_small_population_matches_packed_heap(
+        ops in prop::collection::vec(hop_strategy(), 1..400),
+    ) {
+        run_hover_differential(&ops);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Differential property test: the speed-class bitmap [`ServiceNode`] must
+//! Differential property test: the bitmap-dispatch [`ServiceNode`] must
 //! reproduce the frozen PR 3/4-era free-server max-heap [`HeapNode`] event
 //! for event — identical completion streams, timeouts, and bit-identical
 //! interval statistics — under arbitrary arrival / advance / preempt /
 //! stall / DVFS-reconfigure interleavings, including heterogeneous
-//! big/small speed mixes (many speed classes, dispatch ties within each)
+//! big/small speed mixes (many distinct speeds, dispatch ties within each)
 //! and timeout churn.
 //!
 //! This is the PR 5 counterpart of `node_equivalence.rs` (which pins the
 //! production node to the pre-PR3 linear-scan [`ReferenceNode`]): here the
-//! oracle is the heap-based node the bitmap free lists replaced, so any
-//! divergence in class ordering, leading-bit tie-breaking, stalled-bitmap
+//! oracle is the heap-based node the bitmap free list replaced, so any
+//! divergence in preference ordering, rank tie-breaking, stalled-bitset
 //! promotion or the arrival fast path is caught directly against the
 //! structure it must mimic.
 

@@ -29,6 +29,9 @@ pub struct LcWorkload {
     small_ipc_penalty: f64,
     /// Mean geometric burst size (1 = Poisson arrivals).
     burst_mean: f64,
+    /// `ln(1 - 1/burst_mean)`, the geometric burst sampler's divisor,
+    /// computed once at build time instead of once per arrival event.
+    burst_ln_q: f64,
     /// Closed-loop client population, or `None` for open-loop arrivals.
     closed_loop: Option<ClosedLoop>,
     /// Client-side request timeout, seconds.
@@ -92,9 +95,8 @@ impl LcModel for LcWorkload {
             return 1;
         }
         // Geometric on {1, 2, ...} with mean `burst_mean`.
-        let p = 1.0 / self.burst_mean;
         let u = 1.0 - rng.uniform(); // (0, 1]
-        1 + (u.ln() / (1.0 - p).ln()).floor() as usize
+        1 + (u.ln() / self.burst_ln_q).floor() as usize
     }
 
     fn mean_burst(&self) -> f64 {
@@ -232,6 +234,7 @@ impl LcWorkloadBuilder {
             big_anchor: self.big_anchor,
             small_ipc_penalty: self.small_ipc_penalty,
             burst_mean: self.burst_mean,
+            burst_ln_q: (1.0 - 1.0 / self.burst_mean).ln(),
             closed_loop: self.closed_loop,
             timeout_s: self.timeout_s,
         }
@@ -305,6 +308,23 @@ mod tests {
         let mean: f64 = (0..n).map(|_| w.sample_burst(&mut rng) as f64).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "burst mean {mean}");
         assert_eq!(w.mean_burst(), 4.0);
+    }
+
+    /// The hoisted `ln(1 - 1/burst_mean)` must give exactly the draws of
+    /// the per-call formula it replaced, at the presets' burst means.
+    #[test]
+    fn hoisted_burst_constant_matches_inline_formula() {
+        for mean in [10.0, 20.0] {
+            let w = LcWorkload::builder("x").burst_mean(mean).build();
+            let mut a = SimRng::seed(11);
+            let mut b = SimRng::seed(11);
+            for i in 0..1_000 {
+                let p = 1.0 / mean;
+                let u = 1.0 - b.uniform();
+                let inline = 1 + (u.ln() / (1.0 - p).ln()).floor() as usize;
+                assert_eq!(w.sample_burst(&mut a), inline, "draw {i} at mean {mean}");
+            }
+        }
     }
 
     #[test]
