@@ -81,8 +81,8 @@ use hipster_sim::reference::{
     HeapNode, HeapThinkPool, PackedHeap, PackedHeapNode, ReferenceNode, ReferenceThinkPool,
 };
 use hipster_sim::{
-    CalendarQueue, CompletionQueue, Demand, LcModel, NodeInterval, QueuedNode, Sampler, ServerSpec,
-    ServiceNode, SimRng, ThinkPool, DEFAULT_JITTER_SIGMA,
+    math, CalendarQueue, CompletionQueue, Demand, LcModel, NodeInterval, QueuedNode, Sampler,
+    ServerSpec, ServiceNode, SimRng, ThinkPool, DEFAULT_JITTER_SIGMA,
 };
 use hipster_workloads::{
     memcached, web_search, Constant, LcWorkload, MmppStream, MMPP_BURST_FACTOR, MMPP_CALM_FACTOR,
@@ -1874,8 +1874,8 @@ fn juno_cell(smoke: bool) -> Cell {
             // Box–Muller, as the engine draws its interference factor.
             let u1 = 1.0 - jitter.uniform();
             let u2 = jitter.uniform();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let slowdown = (DEFAULT_JITTER_SIGMA * z).exp().max(1.0);
+            let z = (-2.0 * math::ln(u1)).sqrt() * math::cos_2pi(u2);
+            let slowdown = math::exp(DEFAULT_JITTER_SIGMA * z).max(1.0);
             let spec = |kind, mhz| {
                 let freq = Frequency::from_mhz(mhz);
                 ServerSpec {

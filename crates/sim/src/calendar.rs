@@ -261,11 +261,17 @@ impl<E: Slot> Ring<E> {
     fn push(&mut self, e: E, t: f64) {
         self.len += 1;
         if self.flat {
-            // Descending: insert before the first strictly smaller entry.
-            // A linear scan beats a binary search at ≤ FLAT_MAX entries,
-            // and a new completion is usually the latest, found at once.
-            let pos = self.today.iter().position(|&x| x < e);
-            self.today.insert(pos.unwrap_or(self.today.len()), e);
+            // Descending: insert before the first strictly smaller entry,
+            // shifting the smaller tail up in place from the back. At
+            // ≤ FLAT_MAX entries that is a few register moves, where
+            // `Vec::insert` makes a `memmove` call per push.
+            self.today.push(e);
+            let mut i = self.today.len() - 1;
+            while i > 0 && self.today[i - 1] < e {
+                self.today[i] = self.today[i - 1];
+                i -= 1;
+            }
+            self.today[i] = e;
             if self.len > FLAT_MAX {
                 self.rebuild(); // outgrew flat mode: spread over the ring
             }

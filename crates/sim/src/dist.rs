@@ -4,7 +4,15 @@
 //! the simulator has no external RNG dependency at all:
 //! exponential (inversion), normal (Box–Muller), lognormal, bounded Pareto
 //! (inversion) and Zipf (rejection-free inversion over a precomputed CDF).
+//!
+//! The exponential, normal and lognormal draws evaluate `ln`, `cos` and
+//! `exp` with the in-repo [`math`] kernels, so their bits do not depend
+//! on the host's libm. Each also exposes its draw in two halves — the
+//! uniforms it consumes and the transform applied to them — so batch
+//! fills (the engine's exponential lookahead, the workload crate's demand
+//! fill) produce exactly the bits of repeated `sample` calls.
 
+use crate::math;
 use crate::rng::{Sampler, SimRng};
 
 /// Exponential distribution with the given rate (mean `1/rate`).
@@ -28,12 +36,30 @@ impl Exponential {
     pub fn mean(&self) -> f64 {
         1.0 / self.rate
     }
+
+    /// Appends the next `n` standard (rate-1) draws `-ln(1-U)` of `rng` to
+    /// `out`: the uniforms first, in stream order, then one `ln` pass.
+    pub(crate) fn fill_standard(rng: &mut SimRng, n: usize, out: &mut Vec<f64>) {
+        let start = out.len();
+        out.extend((0..n).map(|_| 1.0 - rng.uniform()));
+        for x in &mut out[start..] {
+            *x = -math::ln(*x);
+        }
+    }
+
+    /// Scales a standard draw to this rate, giving the bits
+    /// [`Sampler::sample`] draws from the same uniform.
+    #[inline]
+    pub(crate) fn scale(&self, standard: f64) -> f64 {
+        standard / self.rate
+    }
 }
 
 impl Sampler for Exponential {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         // Inversion: -ln(1-U)/rate; 1-U avoids ln(0).
-        -(1.0 - rng.uniform()).ln() / self.rate
+        self.scale(-math::ln(1.0 - rng.uniform()))
     }
 }
 
@@ -57,14 +83,29 @@ impl Normal {
         );
         Normal { mean, std_dev }
     }
+
+    /// The two uniforms one draw consumes, in stream order: `u1` in
+    /// `(0, 1]`, `u2` in `[0, 1)`.
+    #[inline]
+    pub fn uniforms(rng: &mut SimRng) -> (f64, f64) {
+        let u1 = 1.0 - rng.uniform();
+        (u1, rng.uniform())
+    }
+
+    /// The Box–Muller draw [`Sampler::sample`] makes from
+    /// [`Normal::uniforms`].
+    #[inline]
+    pub fn from_uniforms(&self, u1: f64, u2: f64) -> f64 {
+        let z = (-2.0 * math::ln(u1)).sqrt() * math::cos_2pi(u2);
+        self.mean + self.std_dev * z
+    }
 }
 
 impl Sampler for Normal {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u1 = 1.0 - rng.uniform(); // (0, 1]
-        let u2 = rng.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        self.mean + self.std_dev * z
+        let (u1, u2) = Self::uniforms(rng);
+        self.from_uniforms(u1, u2)
     }
 }
 
@@ -99,7 +140,12 @@ impl LogNormal {
     /// Panics if `median` is not strictly positive.
     pub fn from_median(median: f64, sigma: f64) -> Self {
         assert!(median > 0.0, "median must be positive: {median}");
-        Self::new(median.ln(), sigma)
+        Self::new(math::ln(median), sigma)
+    }
+
+    /// The underlying normal: a draw is [`math::exp`] of its draw.
+    pub fn normal(&self) -> &Normal {
+        &self.base
     }
 
     /// Mean of the distribution, `exp(mu + sigma²/2)`.
@@ -109,17 +155,24 @@ impl LogNormal {
 }
 
 impl Sampler for LogNormal {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.base.sample(rng).exp()
+        math::exp(self.base.sample(rng))
     }
 }
 
 /// Bounded Pareto distribution on `[lo, hi]` with shape `alpha`.
+///
+/// The inversion's constants are computed once in [`BoundedPareto::new`];
+/// each draw is one uniform and one `powf`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
-    lo: f64,
-    hi: f64,
-    alpha: f64,
+    /// `lo^alpha`.
+    la: f64,
+    /// `hi^alpha`.
+    ha: f64,
+    /// `-1 / alpha`.
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
@@ -133,17 +186,21 @@ impl BoundedPareto {
             lo > 0.0 && hi > lo && alpha > 0.0,
             "invalid bounded Pareto: lo {lo}, hi {hi}, alpha {alpha}"
         );
-        BoundedPareto { lo, hi, alpha }
+        BoundedPareto {
+            la: lo.powf(alpha),
+            ha: hi.powf(alpha),
+            neg_inv_alpha: -1.0 / alpha,
+        }
     }
 }
 
 impl Sampler for BoundedPareto {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         let u = rng.uniform();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
+        let (la, ha) = (self.la, self.ha);
         // Inversion of the bounded Pareto CDF.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
+        (-(u * ha - u * la - ha) / (ha * la)).powf(self.neg_inv_alpha)
     }
 }
 
@@ -267,6 +324,49 @@ mod tests {
         for _ in 0..50_000 {
             let x = d.sample(&mut rng);
             assert!((1.0..=100.0).contains(&x), "{x} out of bounds");
+        }
+    }
+
+    /// Hoisting `lo^α`, `hi^α` and `-1/α` into `new` leaves every draw
+    /// bit-identical to the per-draw formula.
+    #[test]
+    fn bounded_pareto_draws_equal_the_inline_formula() {
+        for (lo, hi, alpha) in [(1.0, 100.0, 1.5), (1.5, 10.0, 1.1), (2.0, 50.0, 0.7)] {
+            let d = BoundedPareto::new(lo, hi, alpha);
+            let mut a = SimRng::seed(12);
+            let mut b = SimRng::seed(12);
+            for i in 0..10_000 {
+                let u = b.uniform();
+                let la = f64::powf(lo, alpha);
+                let ha = f64::powf(hi, alpha);
+                let inline = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+                assert_eq!(d.sample(&mut a).to_bits(), inline.to_bits(), "draw {i}");
+            }
+        }
+    }
+
+    /// The split halves reproduce `sample` bit for bit: `scale` of a
+    /// chunked standard fill, and Box–Muller from explicitly drawn
+    /// uniforms.
+    #[test]
+    fn split_draws_equal_sample() {
+        let e = Exponential::new(3.7);
+        let (mut a, mut b) = (SimRng::seed(13), SimRng::seed(13));
+        let mut filled = Vec::new();
+        Exponential::fill_standard(&mut b, 1_000, &mut filled);
+        for (i, f) in filled.iter().enumerate() {
+            assert_eq!(
+                e.sample(&mut a).to_bits(),
+                e.scale(*f).to_bits(),
+                "draw {i}"
+            );
+        }
+        let d = LogNormal::from_median(30.0, 0.7);
+        let (mut a, mut b) = (SimRng::seed(14), SimRng::seed(14));
+        for _ in 0..1_000 {
+            let (u1, u2) = Normal::uniforms(&mut b);
+            let split = math::exp(d.normal().from_uniforms(u1, u2));
+            assert_eq!(d.sample(&mut a).to_bits(), split.to_bits());
         }
     }
 

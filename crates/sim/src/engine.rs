@@ -9,6 +9,8 @@ use hipster_platform::{
 use crate::costs::{ContentionModel, ReconfigCosts};
 use crate::dist::{BoundedPareto, Exponential};
 use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec};
+use crate::lookahead::{DemandStream, ExpStream};
+use crate::math;
 use crate::request::{Demand, QosTarget};
 use crate::rng::{Sampler, SimRng};
 use crate::service::{ServerSpec, ServiceNode};
@@ -165,8 +167,11 @@ pub struct Engine {
     node: ServiceNode,
     counters: PerfCounters,
     meter: EnergyMeter,
-    demand_rng: SimRng,
-    arrival_rng: SimRng,
+    /// Burst sizes and service demands (the `"demand"` fork), read ahead.
+    demands: DemandStream,
+    /// Inter-arrival and think times (the `"arrival"` fork), read ahead as
+    /// standard exponentials.
+    arrivals: ExpStream,
     now: f64,
     interval_s: f64,
     index: u64,
@@ -278,8 +283,8 @@ impl Engine {
             node,
             counters: PerfCounters::new(num_cores, false),
             meter: EnergyMeter::new(),
-            demand_rng: root.fork("demand"),
-            arrival_rng: root.fork("arrival"),
+            demands: DemandStream::new(root.fork("demand")),
+            arrivals: ExpStream::new(root.fork("arrival")),
             now: 0.0,
             interval_s: 1.0,
             index: 0,
@@ -435,31 +440,6 @@ impl Engine {
     /// (straggle multiplier exceeded the hedge cap).
     pub fn hedged_requests(&self) -> u64 {
         self.req_faults.as_ref().map_or(0, |rf| rf.hedged)
-    }
-
-    /// Applies the per-request straggler draw (and hedge cap) to one
-    /// arriving request's demand. No-op — and crucially, zero RNG draws —
-    /// when per-request stragglers are unarmed.
-    #[inline]
-    fn straggle_demand(&mut self, mut demand: Demand) -> Demand {
-        if let Some(rf) = self.req_faults.as_mut() {
-            if rf.rng.chance(rf.prob) {
-                let drawn = match &rf.mult {
-                    Some(pareto) => pareto.sample(&mut rf.rng),
-                    None => rf.min,
-                };
-                rf.straggled += 1;
-                let eff = if drawn > rf.cap {
-                    rf.hedged += 1;
-                    rf.cap
-                } else {
-                    drawn
-                };
-                demand.work *= eff;
-                demand.mem_s *= eff;
-            }
-        }
-        demand
     }
 
     /// Imposes a machine-wide fault condition from outside for subsequent
@@ -734,8 +714,8 @@ impl Engine {
             // interference only ever slows service down.
             let u1 = 1.0 - self.jitter_rng.uniform();
             let u2 = self.jitter_rng.uniform();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            s *= (self.jitter_sigma * z).exp();
+            let z = (-2.0 * math::ln(u1)).sqrt() * math::cos_2pi(u2);
+            s *= math::exp(self.jitter_sigma * z);
         }
         s.max(1.0)
     }
@@ -756,9 +736,7 @@ impl Engine {
         } else {
             None
         };
-        let mut next_arrival = iat
-            .as_ref()
-            .map(|d| self.now + d.sample(&mut self.arrival_rng));
+        let mut next_arrival = iat.map(|d| self.now + d.scale(self.arrivals.next()));
         loop {
             let tc = self.node.next_completion();
             // Earliest of: completion, arrival, kick — within the interval.
@@ -787,13 +765,11 @@ impl Engine {
                 0 => break,
                 1 => {} // advance() already completed it
                 2 => {
-                    let burst = self.lc.sample_burst(&mut self.demand_rng).max(1);
-                    for _ in 0..burst {
-                        let demand = self.lc.sample_demand(&mut self.demand_rng);
-                        let demand = self.straggle_demand(demand);
-                        self.node.arrive(t, demand);
+                    for _ in 0..self.demands.next_burst(self.lc.as_ref()) {
+                        let demand = self.demands.next_demand(self.lc.as_ref());
+                        self.node.arrive(t, straggled(&mut self.req_faults, demand));
                     }
-                    next_arrival = iat.as_ref().map(|d| t + d.sample(&mut self.arrival_rng));
+                    next_arrival = iat.map(|d| t + d.scale(self.arrivals.next()));
                 }
                 3 => {
                     self.node.kick(t);
@@ -827,7 +803,7 @@ impl Engine {
         let mut population = self.thinking.len() + self.node.queue_len() + self.node.in_flight();
         // Grow: new clients start thinking now.
         while population < target {
-            let expiry = self.now + think.sample(&mut self.arrival_rng);
+            let expiry = self.now + think.scale(self.arrivals.next());
             self.thinking.push(expiry);
             population += 1;
         }
@@ -863,16 +839,15 @@ impl Engine {
             self.node.advance_collect(t, &mut completions);
             for &ct in &completions {
                 // The responding client starts thinking.
-                self.thinking.push(ct + think.sample(&mut self.arrival_rng));
+                self.thinking.push(ct + think.scale(self.arrivals.next()));
             }
             match what {
                 0 => break,
                 1 => {}
                 2 => {
                     self.thinking.pop_min().expect("think expiry exists");
-                    let demand = self.lc.sample_demand(&mut self.demand_rng);
-                    let demand = self.straggle_demand(demand);
-                    self.node.arrive(t, demand);
+                    let demand = self.demands.next_demand(self.lc.as_ref());
+                    self.node.arrive(t, straggled(&mut self.req_faults, demand));
                 }
                 3 => {
                     self.node.kick(t);
@@ -1047,6 +1022,32 @@ impl Engine {
             }
         }
     }
+}
+
+/// Applies the per-request straggler draw (and hedge cap) to one arriving
+/// request's demand. No-op — and crucially, zero RNG draws — when
+/// per-request stragglers are unarmed. These draws are not read ahead:
+/// they stay inline, on their own `"reqstraggle"` stream.
+#[inline]
+fn straggled(req_faults: &mut Option<ReqFaults>, mut demand: Demand) -> Demand {
+    if let Some(rf) = req_faults {
+        if rf.rng.chance(rf.prob) {
+            let drawn = match &rf.mult {
+                Some(pareto) => pareto.sample(&mut rf.rng),
+                None => rf.min,
+            };
+            rf.straggled += 1;
+            let eff = if drawn > rf.cap {
+                rf.hedged += 1;
+                rf.cap
+            } else {
+                drawn
+            };
+            demand.work *= eff;
+            demand.mem_s *= eff;
+        }
+    }
+    demand
 }
 
 /// Returns the exponential distribution for `rate`, reusing `cache` when

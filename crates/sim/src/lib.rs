@@ -16,7 +16,8 @@
 //!   diurnal load and SPEC CPU2006 programs;
 //! * [`Trace`] — recorded runs plus the paper's summary metrics (QoS
 //!   guarantee, tardiness, energy, migrations);
-//! * deterministic RNG ([`SimRng`]) and distributions ([`dist`]).
+//! * deterministic RNG ([`SimRng`]), distributions ([`dist`]) and the
+//!   host-independent `ln`/`cos`/`exp` kernels they evaluate ([`math`]).
 //!
 //! # Example: one interval on two big cores
 //!
@@ -56,6 +57,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod dist;
+pub mod math;
 pub mod reference;
 
 mod calendar;
@@ -67,6 +69,7 @@ mod fault;
 mod freelist;
 mod jsonl;
 mod latency;
+mod lookahead;
 mod ordf64;
 mod request;
 mod rng;

@@ -29,6 +29,7 @@ impl Demand {
     /// # Panics
     ///
     /// Panics if either component is negative or not finite.
+    #[inline]
     pub fn new(work: f64, mem_s: f64) -> Self {
         assert!(
             work.is_finite() && work >= 0.0 && mem_s.is_finite() && mem_s >= 0.0,
@@ -53,6 +54,7 @@ pub struct Request {
 
 impl Request {
     /// Creates a fresh request with its full demand outstanding.
+    #[inline]
     pub fn new(id: RequestId, arrival: f64, demand: Demand) -> Self {
         Request {
             id,

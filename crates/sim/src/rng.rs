@@ -69,6 +69,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let [a, b, c, d] = self.state;
         let out = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
@@ -85,6 +86,7 @@ impl SimRng {
     }
 
     /// Uniform draw in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

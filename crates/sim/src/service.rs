@@ -454,7 +454,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     /// Enqueues a request arriving at `now` with the given demand, then
     /// dispatches if a server is free.
     pub fn arrive(&mut self, now: f64, demand: Demand) {
-        let req = Request::new(RequestId(self.next_id), now, demand);
+        let id = RequestId(self.next_id);
         self.next_id += 1;
         self.interval_arrivals += 1;
         // Fast path: nothing queued and no stall bookkeeping pending —
@@ -468,14 +468,17 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
                         self.free.mark_stalled(idx, self.hot[idx].available_at);
                     }
                     Some(idx) => {
-                        self.start_request(idx, req, now);
+                        self.start_request(idx, Request::new(id, now, demand), now);
                         return;
                     }
                     None => break,
                 }
             }
         }
-        self.queue.push_back(req);
+        // Built at its destination: a request assembled on the stack and
+        // then pushed is reloaded with wider loads than it was stored
+        // with, a store-forwarding stall on every queued arrival.
+        self.queue.push_back(Request::new(id, now, demand));
         self.dispatch(now);
     }
 

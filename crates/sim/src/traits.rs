@@ -49,6 +49,50 @@ pub trait LcModel: std::fmt::Debug + Send {
         1.0
     }
 
+    /// Draws the next open-loop arrival events from `rng` — for each, its
+    /// burst size (`sample_burst(rng).max(1)`) into `bursts`, then that
+    /// many [`LcModel::sample_demand`] draws into `demands` — and stops
+    /// once exactly `n ≥ 1` demands were appended, possibly part-way
+    /// through the last event. Returns how many of that event's demands
+    /// are still undrawn; the engine draws them next, through
+    /// [`LcModel::fill_demands`].
+    ///
+    /// The engine reads its demand stream ahead through these two methods,
+    /// one small chunk at a time. An override must consume `rng` exactly
+    /// as the default body does and append the same values — it may only
+    /// reorder the arithmetic (for instance, draw a chunk's uniforms
+    /// first and transform them in a second pass).
+    fn fill_arrivals(
+        &self,
+        rng: &mut SimRng,
+        n: usize,
+        bursts: &mut Vec<usize>,
+        demands: &mut Vec<Demand>,
+    ) -> usize {
+        let mut left = n;
+        loop {
+            let burst = self.sample_burst(rng).max(1);
+            bursts.push(burst);
+            let now = burst.min(left);
+            for _ in 0..now {
+                demands.push(self.sample_demand(rng));
+            }
+            left -= now;
+            if left == 0 {
+                return burst - now;
+            }
+        }
+    }
+
+    /// Appends the next `n` demands drawn from `rng` to `out`: the bits
+    /// and stream consumption of `n` [`LcModel::sample_demand`] calls,
+    /// under the same contract as [`LcModel::fill_arrivals`].
+    fn fill_demands(&self, rng: &mut SimRng, n: usize, out: &mut Vec<Demand>) {
+        for _ in 0..n {
+            out.push(self.sample_demand(rng));
+        }
+    }
+
     /// Client-side request timeout, seconds, or `None` for patient clients.
     ///
     /// Real Memcached clients abandon requests after a deadline; under deep

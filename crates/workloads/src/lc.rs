@@ -5,10 +5,16 @@
 //! speed anchors at the big core's top frequency; small cores pay an IPC
 //! penalty on top of their frequency deficit. Arrivals may come in
 //! geometric bursts (multiget batching).
+//!
+//! The engine reads demands ahead in chunks ([`LcModel::fill_arrivals`],
+//! [`LcModel::fill_demands`]); [`LcWorkload`] fills a chunk in stages —
+//! every uniform in stream order, then one Box–Muller pass, then one
+//! `exp` pass — which yields exactly the bits of one
+//! [`LcModel::sample_demand`] call per demand.
 
 use hipster_platform::{CoreKind, Frequency};
-use hipster_sim::dist::LogNormal;
-use hipster_sim::{ClosedLoop, Demand, LcModel, QosTarget, Sampler, SimRng};
+use hipster_sim::dist::{LogNormal, Normal};
+use hipster_sim::{math, ClosedLoop, Demand, LcModel, QosTarget, Sampler, SimRng};
 
 /// A configurable latency-critical service model.
 ///
@@ -50,6 +56,19 @@ impl LcWorkload {
         self.work.mean() / self.service_speed(kind, freq) + self.mem_s
     }
 
+    /// Stages 2 and 3 of a chunked demand fill. Each slot arrives holding
+    /// its Box–Muller uniforms `(u1, u2)` in `(work, mem_s)` and leaves
+    /// holding the demand [`LcModel::sample_demand`] draws from them.
+    fn lognormal_demands(&self, slots: &mut [Demand]) {
+        let normal = self.work.normal();
+        for d in slots.iter_mut() {
+            d.work = normal.from_uniforms(d.work, d.mem_s);
+        }
+        for d in slots.iter_mut() {
+            *d = Demand::new(math::exp(d.work), self.mem_s);
+        }
+    }
+
     /// Sustainable throughput (requests per second) of a configuration with
     /// the given core counts and frequencies — the reciprocal-service-time
     /// capacity bound, before queueing effects.
@@ -78,6 +97,7 @@ impl LcModel for LcWorkload {
         self.qos
     }
 
+    #[inline]
     fn sample_demand(&self, rng: &mut SimRng) -> Demand {
         Demand::new(self.work.sample(rng), self.mem_s)
     }
@@ -90,13 +110,58 @@ impl LcModel for LcWorkload {
         }
     }
 
+    #[inline]
     fn sample_burst(&self, rng: &mut SimRng) -> usize {
         if self.burst_mean <= 1.0 {
             return 1;
         }
-        // Geometric on {1, 2, ...} with mean `burst_mean`.
+        // Geometric on {1, 2, ...} with mean `burst_mean`. The quotient is
+        // ≥ 0 (both logs are ≤ 0), so truncation is its floor.
         let u = 1.0 - rng.uniform(); // (0, 1]
-        1 + (u.ln() / self.burst_ln_q).floor() as usize
+        1 + (math::ln(u) / self.burst_ln_q) as usize
+    }
+
+    fn fill_arrivals(
+        &self,
+        rng: &mut SimRng,
+        n: usize,
+        bursts: &mut Vec<usize>,
+        demands: &mut Vec<Demand>,
+    ) -> usize {
+        let start = demands.len();
+        let mut left = n;
+        // Stage 1, in stream order: each event's burst draw, then its
+        // demands' uniforms, parked in their demand slots.
+        let owed = loop {
+            let burst = self.sample_burst(rng);
+            bursts.push(burst);
+            let now = burst.min(left);
+            for _ in 0..now {
+                let (u1, u2) = Normal::uniforms(rng);
+                demands.push(Demand {
+                    work: u1,
+                    mem_s: u2,
+                });
+            }
+            left -= now;
+            if left == 0 {
+                break burst - now;
+            }
+        };
+        self.lognormal_demands(&mut demands[start..]);
+        owed
+    }
+
+    fn fill_demands(&self, rng: &mut SimRng, n: usize, out: &mut Vec<Demand>) {
+        let start = out.len();
+        for _ in 0..n {
+            let (u1, u2) = Normal::uniforms(rng);
+            out.push(Demand {
+                work: u1,
+                mem_s: u2,
+            });
+        }
+        self.lognormal_demands(&mut out[start..]);
     }
 
     fn mean_burst(&self) -> f64 {
@@ -223,7 +288,7 @@ impl LcWorkloadBuilder {
         assert!(self.burst_mean >= 1.0, "burst mean must be ≥ 1");
         assert!(self.mem_s >= 0.0, "memory time must be non-negative");
         // LogNormal mean = median * exp(sigma²/2)  ⇒  median from mean.
-        let median = self.work_mean / (self.work_sigma * self.work_sigma / 2.0).exp();
+        let median = self.work_mean / math::exp(self.work_sigma * self.work_sigma / 2.0);
         LcWorkload {
             name: self.name,
             max_load_rps: self.max_load_rps,
@@ -234,7 +299,12 @@ impl LcWorkloadBuilder {
             big_anchor: self.big_anchor,
             small_ipc_penalty: self.small_ipc_penalty,
             burst_mean: self.burst_mean,
-            burst_ln_q: (1.0 - 1.0 / self.burst_mean).ln(),
+            // Unused (and outside `math::ln`'s domain) at a mean of 1.
+            burst_ln_q: if self.burst_mean > 1.0 {
+                math::ln(1.0 - 1.0 / self.burst_mean)
+            } else {
+                f64::NEG_INFINITY
+            },
             closed_loop: self.closed_loop,
             timeout_s: self.timeout_s,
         }
@@ -321,7 +391,7 @@ mod tests {
             for i in 0..1_000 {
                 let p = 1.0 / mean;
                 let u = 1.0 - b.uniform();
-                let inline = 1 + (u.ln() / (1.0 - p).ln()).floor() as usize;
+                let inline = 1 + (math::ln(u) / math::ln(1.0 - p)).floor() as usize;
                 assert_eq!(w.sample_burst(&mut a), inline, "draw {i} at mean {mean}");
             }
         }
