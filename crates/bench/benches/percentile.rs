@@ -1,8 +1,8 @@
-//! Percentile computation benchmarks: exact interval percentiles (what the
-//! QoS Monitor computes each second) versus the streaming P² estimator.
+//! Percentile computation benchmarks: exact interval percentiles by
+//! selection (what the QoS Monitor computes each second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hipster_sim::{percentile, P2Quantile, SimRng};
+use hipster_sim::{percentile, SimRng};
 
 fn samples(n: usize) -> Vec<f64> {
     let mut rng = SimRng::seed(42);
@@ -19,15 +19,6 @@ fn benches(c: &mut Criterion) {
                 |mut d| criterion::black_box(percentile(&mut d, 0.95)),
                 BatchSize::SmallInput,
             )
-        });
-        c.bench_function(&format!("percentile/p2_stream_{n}"), |b| {
-            b.iter(|| {
-                let mut est = P2Quantile::new(0.95);
-                for &x in &data {
-                    est.observe(x);
-                }
-                criterion::black_box(est.quantile())
-            })
         });
     }
 }

@@ -16,27 +16,17 @@
 //!   fig. 2/3-style (configuration × load) sweep at 64/256/1024 scenarios
 //!   through the work-stealing [`Fleet`] and a static-partition
 //!   baseline scheduler, recording wall time and per-worker idle tails.
-//! * **Dispatch at scale** (`BENCH_PR5.json`) — `open/memcached/*` cells
-//!   at 64/256/1024 servers plus a DVFS-churn cell drive the production
-//!   bitmap dispatch over the frozen PR 5 packed heap ([`PackedHeapNode`])
-//!   against the frozen PR 3/4-era free-server max-heap node
-//!   ([`HeapNode`]) — the completion index frozen on both sides, so the
-//!   PR 5 floors pin the O(1) dispatch path rather than whatever event
-//!   core the production node carries today — proving
-//!   per-event cost stays flat in machine size (s1024 within 1.3× of
-//!   s64) and enforcing the ≥1.5× speedup floor at 256 servers when
-//!   recording a full (non-smoke) run.
-//! * **Calendar-queue event core** (`BENCH_PR6.json`) — the calendar-backed
-//!   [`ServiceNode`] + [`ThinkPool`] vs the frozen PR 5 packed-`u128`
-//!   binary heaps ([`PackedHeapNode`] + [`HeapThinkPool`]) on identical
-//!   pre-generated streams: the largest open-loop machine (s1024, Poisson
-//!   and two-state MMPP bursty arrivals) plus closed-loop populations at
-//!   c1024/c4096. Each cell records two races — the end-to-end node
-//!   replay, and an event-core *op-trace* replay (`CoreOp`) that times
-//!   just the queue layer on the exact op sequence the cell's simulation
-//!   issued. Full runs enforce a ≥1.3× core-race floor at c4096, a ≥1.0×
-//!   end-to-end no-regression floor, and a flat (≤1.3×) c1024→c4096
-//!   events/sec ratio.
+//! * **Node scale** (`BENCH.jsonl`) — the production [`ServiceNode`]
+//!   (+ [`ThinkPool`]) against the scan oracle on identical pre-generated
+//!   streams, reps interleaved across every cell: open-loop Memcached at
+//!   64 and 1024 servers, closed-loop Web-Search at 1024 and 4096
+//!   clients, and the 2-big + 4-small Juno node re-keyed every interval.
+//!   One flat JSON line per floor — `{layer, workload, size, metric,
+//!   value, oracle_value, floor, better, smoke}` — each enforced on full
+//!   runs: s64→s1024 and c1024→c4096 events/sec ratios ≤1.3, and
+//!   production-over-scan speedups on the Juno cell and at c4096 (the
+//!   earlier floors against the frozen heap nodes, translated onto the
+//!   scan oracle).
 //! * **Cluster dispatch at scale** (`BENCH_PR7.json`) —
 //!   `cluster/dispatch/*` cells time the cluster
 //!   [`Dispatcher`](hipster_core::cluster::Dispatcher) (one flat
@@ -53,22 +43,22 @@
 //!   require p2c to be at least as fast as least-loaded at 1024 nodes,
 //!   and, on two or more cores, a ≥1.3× parallel node-stage speed-up.
 //!
-//! Every event-core, control-plane, node-dispatch and calendar cell
-//! feeds its fast and reference implementations identical inputs, so
-//! their outputs must agree exactly — the bench doubles as an at-scale
-//! equivalence check and panics on any divergence.
+//! Every event-core, control-plane and node-scale cell feeds its fast
+//! and reference implementations identical inputs, so their outputs must
+//! agree exactly — the bench doubles as an at-scale equivalence check and
+//! panics on any divergence.
 //!
 //! Results are written to the current directory (the repo root, when run
 //! via `cargo run`), giving future PRs a recorded perf trajectory.
 //! `--smoke` runs the same cells with fewer simulated intervals so CI can
 //! validate the harness in seconds, and `--only <prefix>` restricts the
-//! run to cells whose name starts with the prefix (a JSON file is only
+//! run to cells whose name starts with the prefix (a results file is only
 //! rewritten when at least one of its cells ran).
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use hipster_core::reference::{run_static_chunked, ReferenceQTable};
+use hipster_core::store::json::JsonObj;
 use hipster_core::{
     run_tasks, ConfigSpace, Fleet, LoadBuckets, Policy, QTable, ScenarioSpec, StaticPolicy,
 };
@@ -77,17 +67,12 @@ use crate::experiments::cluster;
 use crate::runner::{heuristic_mapper, hipster_in, static_all_big, static_all_small, Workload};
 use hipster_platform::{power_ladder, CoreConfig, CoreKind, Frequency, Platform};
 use hipster_sim::dist::Exponential;
-use hipster_sim::reference::{
-    HeapNode, HeapThinkPool, PackedHeap, PackedHeapNode, ReferenceNode, ReferenceThinkPool,
-};
+use hipster_sim::reference::{ReferenceNode, ReferenceThinkPool};
 use hipster_sim::{
-    math, CalendarQueue, CompletionQueue, Demand, LcModel, NodeInterval, QueuedNode, Sampler,
-    ServerSpec, ServiceNode, SimRng, ThinkPool, DEFAULT_JITTER_SIGMA,
+    math, Demand, LcModel, NodeInterval, Sampler, ServerSpec, ServiceNode, SimRng, ThinkPool,
+    DEFAULT_JITTER_SIGMA,
 };
-use hipster_workloads::{
-    memcached, web_search, Constant, LcWorkload, MmppStream, MMPP_BURST_FACTOR, MMPP_CALM_FACTOR,
-    MMPP_DUTY,
-};
+use hipster_workloads::{memcached, web_search, Constant, LcWorkload};
 
 /// Tail percentile used by every bench interval (Memcached's QoS point).
 const TAIL_P: f64 = 0.95;
@@ -108,54 +93,27 @@ trait EventNode {
     fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval;
 }
 
-// One blanket impl covers the production node (`ServiceNode`, calendar
-// queue) and the frozen-heap node (`PackedHeapNode`) — the PR 6 cells race
-// the same node body over the two completion indices.
-impl<Q: CompletionQueue> EventNode for QueuedNode<Q> {
+impl EventNode for ServiceNode {
     fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64) {
-        QueuedNode::reconfigure(self, now, specs, preempt, stall_s);
+        ServiceNode::reconfigure(self, now, specs, preempt, stall_s);
     }
     fn begin_interval(&mut self, t: f64) {
-        QueuedNode::begin_interval(self, t);
+        ServiceNode::begin_interval(self, t);
     }
     fn arrive(&mut self, now: f64, demand: Demand) {
-        QueuedNode::arrive(self, now, demand);
+        ServiceNode::arrive(self, now, demand);
     }
     fn next_completion(&self) -> Option<f64> {
-        QueuedNode::next_completion(self)
+        ServiceNode::next_completion(self)
     }
     fn advance(&mut self, to: f64) {
-        QueuedNode::advance(self, to);
+        ServiceNode::advance(self, to);
     }
     fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
-        QueuedNode::advance_collect(self, to, out);
+        ServiceNode::advance_collect(self, to, out);
     }
     fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
-        QueuedNode::end_interval(self, t_end, p)
-    }
-}
-
-impl EventNode for HeapNode {
-    fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64) {
-        HeapNode::reconfigure(self, now, specs, preempt, stall_s);
-    }
-    fn begin_interval(&mut self, t: f64) {
-        HeapNode::begin_interval(self, t);
-    }
-    fn arrive(&mut self, now: f64, demand: Demand) {
-        HeapNode::arrive(self, now, demand);
-    }
-    fn next_completion(&self) -> Option<f64> {
-        HeapNode::next_completion(self)
-    }
-    fn advance(&mut self, to: f64) {
-        HeapNode::advance(self, to);
-    }
-    fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
-        HeapNode::advance_collect(self, to, out);
-    }
-    fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
-        HeapNode::end_interval(self, t_end, p)
+        ServiceNode::end_interval(self, t_end, p)
     }
 }
 
@@ -203,21 +161,6 @@ impl Pool for ThinkPool {
     }
     fn len(&self) -> usize {
         ThinkPool::len(self)
-    }
-}
-
-impl Pool for HeapThinkPool {
-    fn push(&mut self, expiry: f64) {
-        HeapThinkPool::push(self, expiry);
-    }
-    fn peek_min(&self) -> Option<f64> {
-        HeapThinkPool::peek_min(self)
-    }
-    fn pop_min(&mut self) -> Option<f64> {
-        HeapThinkPool::pop_min(self)
-    }
-    fn len(&self) -> usize {
-        HeapThinkPool::len(self)
     }
 }
 
@@ -436,46 +379,6 @@ struct Cell {
     intervals: usize,
     new: Measured,
     reference: Measured,
-    /// Event-core op-trace race (PR 6 cells only): the same cell timed at
-    /// the queue layer, replaying the exact op sequence the simulation
-    /// issued against each queue implementation.
-    core: Option<CoreRace>,
-}
-
-/// Both implementations' timings over one cell's recorded event-core op
-/// trace (see [`CoreOp`]): the queue layer isolated from the node work
-/// (dispatch, latency recording, interval accounting) that both
-/// implementations share.
-struct CoreRace {
-    ops: usize,
-    new_wall_s: f64,
-    ref_wall_s: f64,
-}
-
-impl CoreRace {
-    fn ns_per_op(&self, wall_s: f64) -> f64 {
-        wall_s * 1e9 / (self.ops as f64).max(1.0)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.ref_wall_s / self.new_wall_s.max(1e-12)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "\"core\":{{\"ops\":{},\"wall_s\":{:.6},\"ns_per_op\":{:.2},",
-                "\"reference\":{{\"wall_s\":{:.6},\"ns_per_op\":{:.2}}},",
-                "\"speedup\":{:.2}}}"
-            ),
-            self.ops,
-            self.new_wall_s,
-            self.ns_per_op(self.new_wall_s),
-            self.ref_wall_s,
-            self.ns_per_op(self.ref_wall_s),
-            self.speedup(),
-        )
-    }
 }
 
 impl Cell {
@@ -484,7 +387,7 @@ impl Cell {
     }
 
     fn json(&self) -> String {
-        let mut s = format!(
+        format!(
             concat!(
                 "{{\"name\":\"{}\",\"mode\":\"{}\",\"servers\":{},\"clients\":{},",
                 "\"offered_rps\":{:.1},\"interval_s\":{},\"intervals\":{},",
@@ -510,14 +413,7 @@ impl Cell {
             self.reference.events_per_sec(),
             self.reference.intervals_per_sec(),
             self.speedup(),
-        );
-        if let Some(core) = &self.core {
-            s.pop(); // re-open the object to append the core race
-            s.push(',');
-            s.push_str(&core.json());
-            s.push('}');
-        }
-        s
+        )
     }
 }
 
@@ -535,17 +431,16 @@ fn selected(only: Option<&str>, name: &str) -> bool {
 }
 
 /// Runs the bench matrices, writing `BENCH_PR3.json` (event core),
-/// `BENCH_PR4.json` (control plane + fleet scheduling), `BENCH_PR5.json`
-/// (dispatch at scale), `BENCH_PR6.json` (calendar-queue event core) and
-/// `BENCH_PR7.json` (cluster dispatch at scale). With `smoke`, runs the
-/// same cells over fewer simulated intervals (seconds, for CI). With
-/// `only`, runs just the cells whose name starts with the prefix; a JSON
-/// file is only rewritten when at least one of its cells ran.
+/// `BENCH_PR4.json` (control plane + fleet scheduling), `BENCH.jsonl`
+/// (node scale: production node vs scan oracle) and `BENCH_PR7.json`
+/// (cluster dispatch at scale). With `smoke`, runs the same cells over
+/// fewer simulated intervals (seconds, for CI). With `only`, runs just
+/// the cells whose name starts with the prefix; a results file is only
+/// rewritten when at least one of its cells ran.
 pub fn run(smoke: bool, only: Option<&str>) {
     run_event_core(smoke, only);
     run_control_plane(smoke, only);
-    run_dispatch_scale(smoke, only);
-    run_calendar_scale(smoke, only);
+    run_node_scale(smoke, only);
     run_cluster_scale(smoke, only);
 }
 
@@ -608,7 +503,6 @@ fn run_event_core(smoke: bool, only: Option<&str>) {
             intervals: open_intervals,
             new,
             reference,
-            core: None,
         });
     }
 
@@ -667,7 +561,6 @@ fn run_event_core(smoke: bool, only: Option<&str>) {
             intervals: closed_intervals,
             new,
             reference,
-            core: None,
         });
     }
 
@@ -1099,27 +992,53 @@ fn run_control_plane(smoke: bool, only: Option<&str>) {
 }
 
 // ---------------------------------------------------------------------
-// PR5: dispatch-at-scale cells → BENCH_PR5.json
+// Node scale: the production node vs the scan oracle → BENCH.jsonl
 // ---------------------------------------------------------------------
 
-/// Multiplicative DVFS ladder the churn cell cycles through, one step per
-/// monitoring interval (every step changes every server's effective speed,
-/// forcing a free-list re-sort / free-heap rebuild per interval).
-const DVFS_CHURN_STEPS: &[f64] = &[1.0, 0.85, 0.7, 0.85];
+/// Rounds of the node-scale family. Every round runs one production
+/// pass of every cell (and the timed oracle passes due that round), so
+/// slow machine-state drift (thermal throttling, noisy neighbours on a
+/// shared runner) lands on every cell's sample set instead of skewing
+/// the cells that happen to run last; each side records its median pass.
+const NODE_REPS: usize = 15;
 
-/// DVFS transition stall of the churn cell, seconds (a slice of the
-/// interval, so arrivals land inside the stall window and exercise the
-/// demote/promote path).
-const DVFS_CHURN_STALL_S: f64 = 2e-4;
+/// The `closed/web-search/c4096` scan oracle takes seconds per pass, so
+/// it is timed only every this many rounds (3 passes in a full run).
+const C4096_ORACLE_EVERY: usize = 5;
 
-/// Timed passes per PR5 cell; the best pass is recorded (the cells time
-/// the event core only, and a single pass on a shared runner is noisy).
-const PR5_REPS: usize = 5;
+/// Flatness floor: a cell's events/sec at the small end of a scale pair
+/// may exceed the large end's by at most this factor.
+const FLATNESS_FLOOR: f64 = 1.3;
+
+/// Events/sec of the frozen PR 5 packed-heap node over the scan oracle on
+/// the Juno cell — the median passes of one interleaved run (15 rounds,
+/// the c4096 scan oracle timed every fifth) at the last commit that
+/// still had the heap node (2-vCPU x86-64 VM). The Juno floor was 0.85× the heap node, so on the
+/// scan oracle it is [`JUNO_FLOOR`] = 0.85 × this factor.
+const JUNO_HEAP_OVER_SCAN: f64 = 1.6259;
+
+/// Juno cell floor: production ÷ scan events/sec, 0.85 ×
+/// [`JUNO_HEAP_OVER_SCAN`] written out (so it renders as written).
+const JUNO_FLOOR: f64 = 1.382015;
+const _: () = assert!(
+    JUNO_FLOOR >= 0.85 * JUNO_HEAP_OVER_SCAN && JUNO_FLOOR - 0.85 * JUNO_HEAP_OVER_SCAN < 1e-12
+);
+
+/// The same factor on `closed/web-search/c4096` (heap node + heap think
+/// pool over the scan node + scan pool), from the same run. The PR 6
+/// end-to-end floor there was 1.0× the heap pair.
+const C4096_HEAP_OVER_SCAN: f64 = 142.3778;
+
+/// Name of the Juno-node cell.
+const JUNO_CELL: &str = "open/memcached-juno/s6";
+
+/// Offered load of the Juno cell, as a fraction of its mean capacity.
+const JUNO_LOAD: f64 = 0.6;
 
 /// Pre-generates the open-loop arrival stream one interval at a time —
 /// the same RNG draw sequence as [`drive_open`], but outside the timed
-/// region, so the PR5 cells measure the event core rather than the
-/// workload sampler (the same hoist the PR4 control cells make with
+/// region, so the node-scale cells measure the event core rather than
+/// the workload sampler (the same hoist the PR4 control cells make with
 /// [`control_inputs`]).
 struct OpenStreamGen<'m> {
     model: &'m LcWorkload,
@@ -1127,17 +1046,6 @@ struct OpenStreamGen<'m> {
     demand_rng: SimRng,
     iat: Exponential,
     next_arrival: f64,
-}
-
-/// An open-loop arrival-stream generator the replay driver consumes one
-/// interval at a time (outside the timed region).
-trait ArrivalStream {
-    /// Fills `out` with every `(arrival time, demand)` of the interval
-    /// ending at `t_end` (bursts flattened; all requests of a burst share
-    /// the burst's arrival time, exactly as the inline driver delivers
-    /// them). An arrival landing on `t_end` is deferred to the next
-    /// interval, as the inline driver's `t >= t_end` break does.
-    fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>);
 }
 
 impl<'m> OpenStreamGen<'m> {
@@ -1153,9 +1061,12 @@ impl<'m> OpenStreamGen<'m> {
             next_arrival,
         }
     }
-}
 
-impl ArrivalStream for OpenStreamGen<'_> {
+    /// Fills `out` with every `(arrival time, demand)` of the interval
+    /// ending at `t_end` (bursts flattened; all requests of a burst share
+    /// the burst's arrival time, exactly as the inline driver delivers
+    /// them). An arrival landing on `t_end` is deferred to the next
+    /// interval, as the inline driver's `t >= t_end` break does.
     fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>) {
         out.clear();
         while self.next_arrival < t_end {
@@ -1169,33 +1080,19 @@ impl ArrivalStream for OpenStreamGen<'_> {
     }
 }
 
-/// The MMPP bursty stream (CloudCoaster's regime) now lives in
-/// `hipster_workloads` ([`MmppStream`]), promoted so cluster and
-/// single-node scenarios share one source; the bench keeps only this
-/// delegating adapter. Events clump hard inside bursts (many per
-/// calendar bucket) and thin out between them (empty-bucket skips),
-/// which is exactly the regime the `open/memcached-mmpp/*` cell pins.
-impl ArrivalStream for MmppStream<'_> {
-    fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>) {
-        self.fill_interval(t_end, out);
-    }
-}
-
-/// One timed pass of the PR5 open-loop replay: identical event delivery to
+/// One timed pass of the open-loop replay: identical event delivery to
 /// [`drive_open`] (same completion-vs-arrival precedence, same boundary
 /// semantics), but consuming a pre-generated arrival stream. When
 /// `dvfs_specs` is non-empty, every interval boundary after the first
 /// applies the next ladder step as a DVFS-style rescale (no preemption,
-/// `dvfs_stall_s` stall) *inside* the timed region — per-interval
-/// reconfiguration cost is exactly what the churn and Juno cells
-/// measure.
+/// no stall) *inside* the timed region — per-interval reconfiguration
+/// cost is part of what the Juno cell measures.
 #[allow(clippy::too_many_arguments)]
-fn replay_open<N: EventNode, G: ArrivalStream>(
+fn replay_open<N: EventNode>(
     node: &mut N,
     specs: &[ServerSpec],
     dvfs_specs: &[Vec<ServerSpec>],
-    dvfs_stall_s: f64,
-    gen: &mut G,
+    gen: &mut OpenStreamGen<'_>,
     buf: &mut Vec<(f64, Demand)>,
     interval_s: f64,
     intervals: usize,
@@ -1211,12 +1108,7 @@ fn replay_open<N: EventNode, G: ArrivalStream>(
         let start = Instant::now();
         node.begin_interval(now);
         if iv_idx > 0 && !dvfs_specs.is_empty() {
-            node.reconfigure(
-                now,
-                &dvfs_specs[iv_idx % dvfs_specs.len()],
-                false,
-                dvfs_stall_s,
-            );
+            node.reconfigure(now, &dvfs_specs[iv_idx % dvfs_specs.len()], false, 0.0);
         }
         let mut i = 0;
         loop {
@@ -1259,27 +1151,10 @@ fn replay_open<N: EventNode, G: ArrivalStream>(
     }
 }
 
-/// Folds one more timed pass into the best-so-far slot (streams and event
-/// sequences are deterministic, so every pass of a cell must produce the
-/// same checksum).
-fn keep_best(best: &mut Option<Measured>, m: Measured) {
-    *best = Some(match best.take() {
-        Some(b) => {
-            assert_eq!(b.checksum, m.checksum, "nondeterministic replay");
-            if b.wall_s <= m.wall_s {
-                b
-            } else {
-                m
-            }
-        }
-        None => m,
-    });
-}
-
-/// Mean offered capacity (requests/sec) of a churn spec ladder: the
-/// average over its steps of the sum of per-server service rates. The
-/// churn cell offers [`UTILIZATION`] × this, so the system stays in the
-/// same load regime as the plain cells while speeds move underneath it.
+/// Mean offered capacity (requests/sec) of a spec ladder: the average
+/// over its steps of the sum of per-server service rates. The Juno cell
+/// offers [`JUNO_LOAD`] × this, so the load regime holds while speeds
+/// move underneath it.
 fn ladder_capacity_rps(model: &LcWorkload, ladder: &[Vec<ServerSpec>]) -> f64 {
     let mut rng = SimRng::seed(7);
     let n = 20_000;
@@ -1301,424 +1176,6 @@ fn ladder_capacity_rps(model: &LcWorkload, ladder: &[Vec<ServerSpec>]) -> f64 {
         .sum();
     total / ladder.len() as f64
 }
-
-/// The churn cell's per-interval spec ladder: every step rescales all
-/// servers (half of them 25% slower, so each interval has two speed
-/// classes and dispatch exercises the class order).
-fn dvfs_spec_ladder(base: &[ServerSpec]) -> Vec<Vec<ServerSpec>> {
-    DVFS_CHURN_STEPS
-        .iter()
-        .map(|&step| {
-            base.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let hetero = if i % 2 == 0 { 1.0 } else { 0.75 };
-                    ServerSpec {
-                        speed: s.speed * step * hetero,
-                        ..*s
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The PR5 dispatch-at-scale matrix → `BENCH_PR5.json`: [`PackedHeapNode`]
-/// — the production node body, so the production bitmap dispatch (since
-/// the PR 5 speed-class table folded into one preference-rank free list),
-/// over the frozen packed-`u128` heap — vs the frozen PR 3/4 free-server
-/// max-heap [`HeapNode`] on identical streams (digest-compared; panics on
-/// divergence).
-///
-/// Both completion indexes are frozen on purpose: the matrix pins the
-/// *O(1) dispatch artifact*, so its floors must not drift when a later
-/// PR swaps the event core out from under the production node — PR 6 did
-/// exactly that, and the current node's own scaling is tracked by the
-/// PR 6 matrix (`BENCH_PR6.json`) instead.
-///
-/// When recording a full (non-smoke, unfiltered) run, enforces the PR 5
-/// floors: ≥1.5× events/sec at 256 servers, and s1024 per-event throughput
-/// within 1.3× of s64 (flat dispatch cost in machine size).
-fn run_dispatch_scale(smoke: bool, only: Option<&str>) {
-    let model = memcached();
-    let t_mean = mean_service_s(&model);
-    // Interval length scales inversely with the server count (same total
-    // simulated time per cell), holding the per-interval completion batch
-    // — and with it the recorder's percentile pass and sample-buffer
-    // footprint — constant across scales, so the cells compare the
-    // *event path* at different machine sizes rather than increasingly
-    // cache-hostile end-of-interval batches.
-    let cell_shape = |servers: usize| {
-        assert!(
-            servers >= 64 && servers % 64 == 0,
-            "PR5 cells scale from the 64-server shape: got {servers}"
-        );
-        let scale = servers / 64;
-        let intervals = if smoke { 2 } else { 10 } * scale;
-        (0.1 / scale as f64, intervals)
-    };
-
-    // Cell plans, all built up front so the timed passes can interleave.
-    struct Plan {
-        name: String,
-        mode: &'static str,
-        servers: usize,
-        rate: f64,
-        interval_s: f64,
-        intervals: usize,
-        specs: Vec<ServerSpec>,
-        dvfs: Vec<Vec<ServerSpec>>,
-        seed: u64,
-    }
-    let mut plans: Vec<Plan> = Vec::new();
-    for &servers in &[64usize, 256, 1024] {
-        let name = format!("open/memcached/s{servers}");
-        if !selected(only, &name) {
-            continue;
-        }
-        let (interval_s, intervals) = cell_shape(servers);
-        plans.push(Plan {
-            name,
-            mode: "open",
-            servers,
-            rate: UTILIZATION * servers as f64 / t_mean,
-            interval_s,
-            intervals,
-            specs: big_specs(&model, servers),
-            dvfs: Vec::new(),
-            seed: 42,
-        });
-    }
-    {
-        let servers = 256usize;
-        let name = format!("open/memcached-dvfs/s{servers}");
-        if selected(only, &name) {
-            let (interval_s, intervals) = cell_shape(servers);
-            let ladder = dvfs_spec_ladder(&big_specs(&model, servers));
-            plans.push(Plan {
-                name,
-                mode: "open-dvfs",
-                servers,
-                rate: UTILIZATION * ladder_capacity_rps(&model, &ladder),
-                interval_s,
-                intervals,
-                specs: ladder[0].clone(),
-                dvfs: ladder,
-                seed: 47,
-            });
-        }
-    }
-
-    // Timed passes interleave round-robin over (cell × implementation), so
-    // slow machine-state drift (thermal throttling, noisy neighbours on a
-    // shared runner) lands on every cell's sample set instead of skewing
-    // the cells that happen to run last — the flatness ratio compares
-    // cells against each other, so drift *between* cells is what matters.
-    let mut buf: Vec<(f64, Demand)> = Vec::new();
-    let mut best_new: Vec<Option<Measured>> = plans.iter().map(|_| None).collect();
-    let mut best_ref: Vec<Option<Measured>> = plans.iter().map(|_| None).collect();
-    for _rep in 0..PR5_REPS {
-        for (i, plan) in plans.iter().enumerate() {
-            let mut node = PackedHeapNode::new();
-            let mut gen = OpenStreamGen::new(&model, plan.rate, plan.seed);
-            let m = replay_open(
-                &mut node,
-                &plan.specs,
-                &plan.dvfs,
-                DVFS_CHURN_STALL_S,
-                &mut gen,
-                &mut buf,
-                plan.interval_s,
-                plan.intervals,
-            );
-            keep_best(&mut best_new[i], m);
-            let mut node = HeapNode::new();
-            let mut gen = OpenStreamGen::new(&model, plan.rate, plan.seed);
-            let m = replay_open(
-                &mut node,
-                &plan.specs,
-                &plan.dvfs,
-                DVFS_CHURN_STALL_S,
-                &mut gen,
-                &mut buf,
-                plan.interval_s,
-                plan.intervals,
-            );
-            keep_best(&mut best_ref[i], m);
-        }
-    }
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (i, plan) in plans.into_iter().enumerate() {
-        let new = best_new[i].take().expect("every plan ran");
-        let reference = best_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        println!(
-            "  {} ... packed-heap node {:.2} M events/s (heap node {:.2} M) — {:.1}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: plan.mode,
-            servers: plan.servers,
-            clients: None,
-            offered_rps: plan.rate,
-            interval_s: plan.interval_s,
-            intervals: plan.intervals,
-            new,
-            reference,
-            core: None,
-        });
-    }
-
-    if cells.is_empty() {
-        return; // --only matched nothing here; leave the file alone
-    }
-
-    let find = |n: &str| cells.iter().find(|c| c.name == n);
-    let flat = match (find("open/memcached/s64"), find("open/memcached/s1024")) {
-        (Some(s64), Some(s1024)) => {
-            let ratio = s64.new.events_per_sec() / s1024.new.events_per_sec().max(1e-9);
-            println!(
-                "\nflatness: s64 {:.2} M events/s vs s1024 {:.2} M — ratio {ratio:.2} (floor 1.3)",
-                s64.new.events_per_sec() / 1e6,
-                s1024.new.events_per_sec() / 1e6,
-            );
-            format!(
-                ",\"flatness\":{{\"s64_events_per_sec\":{:.1},\
-                 \"s1024_events_per_sec\":{:.1},\"ratio\":{:.3}}}",
-                s64.new.events_per_sec(),
-                s1024.new.events_per_sec(),
-                ratio
-            )
-        }
-        _ => String::new(),
-    };
-
-    // Enforce the recorded-baseline floors on full runs only: smoke runs
-    // are seconds-long and land on noisy CI machines.
-    if !smoke && only.is_none() {
-        let s256 = find("open/memcached/s256").expect("full run has the s256 cell");
-        assert!(
-            s256.speedup() >= 1.5,
-            "PR5 floor: open/memcached/s256 must be ≥1.5× over the heap node, got {:.2}×",
-            s256.speedup()
-        );
-        let s64 = find("open/memcached/s64").expect("full run has the s64 cell");
-        let s1024 = find("open/memcached/s1024").expect("full run has the s1024 cell");
-        let ratio = s64.new.events_per_sec() / s1024.new.events_per_sec().max(1e-9);
-        assert!(
-            ratio <= 1.3,
-            "PR5 floor: s1024 events/sec must be within 1.3× of s64, got {ratio:.2}×"
-        );
-    }
-
-    let body: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster dispatch at scale\",\"pr\":\"PR5\",\
-         \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
-         \"utilization\":{UTILIZATION},\
-         \"impl\":\"PackedHeapNode (bitmap dispatch + frozen PR5 packed-u128 heap)\",\
-         \"reference_impl\":\"HeapNode (PR3/4 free-server max-heap)\",\
-         \"cells\":[\n  {}\n]{flat}}}\n",
-        body.join(",\n  ")
-    );
-    let path = "BENCH_PR5.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// PR6: calendar-queue event core → BENCH_PR6.json
-// ---------------------------------------------------------------------
-
-/// One recorded operation of the event core — the completion queue plus
-/// (for closed-loop cells) the think pool. [`TraceQueue`] / [`TracePool`]
-/// append these while the cell's *real* simulation replays once untimed;
-/// [`replay_core`] then replays the recorded sequence verbatim against
-/// each queue implementation, timing the queue layer in isolation.
-///
-/// Why a trace replay and not just the end-to-end node race: both node
-/// implementations share the whole `QueuedNode` body (dispatch, latency
-/// recording, hot-record updates, interval accounting) — ~45 ns of work
-/// per event that Amdahl-caps the end-to-end ratio near 1.1× no matter
-/// how fast the queue gets. The op-trace replay prices exactly the
-/// artifact the PR swaps (the queue), on exactly the op mix, sizes and
-/// key distributions the cell's simulation produces — unlike a synthetic
-/// hold-model microbench. Both metrics are recorded per cell; the PR 6
-/// speedup floor binds on the core race, the flatness and no-regression
-/// floors on the end-to-end race.
-#[derive(Clone, Copy, Debug)]
-enum CoreOp {
-    /// `CompletionQueue::push(finish, server)`.
-    CqPush(f64, u32),
-    /// `CompletionQueue::pop_if_le(to)`.
-    CqPop(f64),
-    /// `CompletionQueue::peek_finish()`.
-    CqPeek,
-    /// `ThinkPool::push(expiry)`.
-    TpPush(f64),
-    /// `ThinkPool::pop_min()`.
-    TpPop,
-    /// `ThinkPool::peek_min()`.
-    TpPeek,
-}
-
-/// Per-cell cap on recorded core ops (~96 MB of trace): cells whose full
-/// stream is longer keep their steady-state prefix — the queues fill
-/// within the first simulated interval, so the prefix prices the same
-/// steady state the full cell would. The end-to-end race always runs the
-/// full cell.
-const CORE_TRACE_CAP: usize = 6_000_000;
-
-thread_local! {
-    /// Sink for [`TraceQueue`] / [`TracePool`] recordings. A thread-local
-    /// keeps the tracing wrappers `Default`-constructible (the node's
-    /// generic constructor builds its own queue) while still letting the
-    /// driver harvest the trace afterwards.
-    static CORE_TRACE: RefCell<Vec<CoreOp>> = const { RefCell::new(Vec::new()) };
-}
-
-fn core_trace_record(op: CoreOp) {
-    CORE_TRACE.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.len() < CORE_TRACE_CAP {
-            t.push(op);
-        }
-    });
-}
-
-/// Takes (and clears) the recorded trace.
-fn core_trace_take() -> Vec<CoreOp> {
-    CORE_TRACE.with(|t| std::mem::take(&mut *t.borrow_mut()))
-}
-
-/// A [`CalendarQueue`] that records its per-event ops (push / pop / peek)
-/// to the thread-local trace. The bulk surfaces (`rebuild_from`,
-/// `drain_unordered`, `servers`) stay untraced: no PR 6 cell reconfigures
-/// mid-run, and the per-interval `servers()` walk is not a queue-order
-/// operation.
-#[derive(Clone, Debug, Default)]
-struct TraceQueue(CalendarQueue);
-
-impl CompletionQueue for TraceQueue {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn peek_finish(&self) -> Option<f64> {
-        core_trace_record(CoreOp::CqPeek);
-        self.0.peek_min_time()
-    }
-    fn push(&mut self, finish: f64, server: usize) {
-        core_trace_record(CoreOp::CqPush(finish, server as u32));
-        CalendarQueue::push(&mut self.0, finish, server);
-    }
-    fn pop_if_le(&mut self, to: f64) -> Option<(f64, usize)> {
-        core_trace_record(CoreOp::CqPop(to));
-        CalendarQueue::pop_if_le(&mut self.0, to)
-    }
-    fn rebuild_from(&mut self, scratch: &mut Vec<(f64, usize)>) {
-        self.0.rebuild_from_unpacked(scratch);
-    }
-    fn servers(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.payloads()
-    }
-    fn drain_unordered(&mut self, out: &mut Vec<(f64, usize)>) {
-        CalendarQueue::drain_unordered(&mut self.0, out);
-    }
-}
-
-/// A [`ThinkPool`] that records its ops to the same thread-local trace as
-/// [`TraceQueue`], preserving the real interleaving of completion-queue
-/// and think-pool traffic.
-#[derive(Debug, Default)]
-struct TracePool(ThinkPool);
-
-impl Pool for TracePool {
-    fn push(&mut self, expiry: f64) {
-        core_trace_record(CoreOp::TpPush(expiry));
-        self.0.push(expiry);
-    }
-    fn peek_min(&self) -> Option<f64> {
-        core_trace_record(CoreOp::TpPeek);
-        self.0.peek_min()
-    }
-    fn pop_min(&mut self) -> Option<f64> {
-        core_trace_record(CoreOp::TpPop);
-        self.0.pop_min()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// One implementation's timed pass over a recorded op trace: wall seconds
-/// plus a fold of every value the queues returned. The fold doubles as a
-/// differential check — the calendar and the frozen heaps must return
-/// bit-identical pop/peek sequences on the same trace — and keeps the
-/// optimizer from discarding the replay.
-struct CoreMeasured {
-    wall_s: f64,
-    sink: u64,
-}
-
-fn keep_best_core(best: &mut Option<CoreMeasured>, m: CoreMeasured) {
-    match best {
-        Some(b) => {
-            assert_eq!(b.sink, m.sink, "op-trace replay diverged between passes");
-            if m.wall_s < b.wall_s {
-                *b = m;
-            }
-        }
-        None => *best = Some(m),
-    }
-}
-
-/// Replays a recorded op trace against one (completion queue, think pool)
-/// pair. Open-loop traces contain no think ops; the pool sits empty.
-fn replay_core<Q: CompletionQueue, P: Pool>(ops: &[CoreOp], q: &mut Q, p: &mut P) -> CoreMeasured {
-    let start = Instant::now();
-    let mut sink = 0u64;
-    for &op in ops {
-        match op {
-            CoreOp::CqPush(finish, server) => q.push(finish, server as usize),
-            CoreOp::CqPop(to) => {
-                if let Some((finish, server)) = q.pop_if_le(to) {
-                    sink = sink.wrapping_add(finish.to_bits() ^ (server as u64).rotate_left(17));
-                }
-            }
-            CoreOp::CqPeek => {
-                if let Some(finish) = q.peek_finish() {
-                    sink = sink.wrapping_add(finish.to_bits());
-                }
-            }
-            CoreOp::TpPush(expiry) => p.push(expiry),
-            CoreOp::TpPop => {
-                if let Some(expiry) = p.pop_min() {
-                    sink = sink.wrapping_add(expiry.to_bits());
-                }
-            }
-            CoreOp::TpPeek => {
-                if let Some(expiry) = p.peek_min() {
-                    sink = sink.wrapping_add(expiry.to_bits());
-                }
-            }
-        }
-    }
-    CoreMeasured {
-        wall_s: start.elapsed().as_secs_f64(),
-        sink,
-    }
-}
-
-/// Timed passes per PR6 cell (best pass recorded, interleaved round-robin
-/// like the PR5 cells).
-const PR6_REPS: usize = 5;
 
 /// One timed pass of the closed-loop replay: identical event delivery to
 /// [`drive_closed`] (same completion-vs-think precedence, same boundary
@@ -1827,24 +1284,10 @@ fn closed_streams(
     (thinks, demands)
 }
 
-/// Name of the PR6 matrix's Juno-node cell.
-const JUNO_CELL: &str = "open/memcached-juno/s6";
-
-/// Offered load of the Juno cell, as a fraction of its mean capacity.
-const JUNO_LOAD: f64 = 0.6;
-
-/// Timed passes per side of the Juno cell: short passes, many of them,
-/// interleaved, and the *median* pass recorded — on a shared machine a
-/// lone fast phase can hand one side a best pass 30% below its typical
-/// one, which at this cell's ~70 ms passes decides a best-of race.
-const JUNO_REPS: usize = 15;
-
-/// Floor of the Juno cell: the production node must reach at least this
-/// fraction of the frozen packed-heap node's events/sec.
-const JUNO_FLOOR: f64 = 0.85;
-
-/// The median-wall pass of a cell's timed passes (all of which must have
-/// run the same simulation).
+/// The median-wall pass of a side's timed passes (all of which must have
+/// run the same simulation). On a shared machine a lone fast phase can
+/// hand one side a best pass 30% below its typical one, which at the
+/// Juno cell's ~70 ms passes would decide a best-of race.
 fn median_pass(mut passes: Vec<Measured>) -> Measured {
     for p in &passes[1..] {
         assert_eq!(p.checksum, passes[0].checksum, "nondeterministic replay");
@@ -1853,23 +1296,14 @@ fn median_pass(mut passes: Vec<Measured>) -> Measured {
     passes.swap_remove(passes.len() / 2)
 }
 
-/// The Juno-node cell ([`JUNO_CELL`]): the machine every repro node
-/// actually is — 2 big servers at 1150 MHz and 4 small at 650 MHz, so
-/// never more than 6 pending completions — serving Memcached at
-/// [`JUNO_LOAD`] of its capacity, with a DVFS-path reconfigure at every
-/// 50 ms interval boundary whose uniform slowdown carries the engine's
-/// lognormal interference jitter ([`DEFAULT_JITTER_SIGMA`]), the same
-/// per-interval re-key `Engine::step` issues. The production node races
-/// the frozen [`PackedHeapNode`] on one pre-generated stream, interleaved
-/// and digest-compared; the bench-wide 1024–4096-event cells never see
-/// this population, and the completion index must not lose to a heap
-/// at it.
-fn juno_cell(smoke: bool) -> Cell {
-    let model = memcached();
-    let intervals = if smoke { 20 } else { 400 };
-    let interval_s = 0.05;
+/// The Juno node's per-interval spec ladder: 2 big servers at 1150 MHz
+/// and 4 small at 650 MHz — so never more than 6 pending completions —
+/// with a uniform slowdown per interval carrying the engine's lognormal
+/// interference jitter ([`DEFAULT_JITTER_SIGMA`]), the same per-interval
+/// DVFS-path re-key `Engine::step` issues.
+fn juno_ladder(model: &LcWorkload, intervals: usize) -> Vec<Vec<ServerSpec>> {
     let mut jitter = SimRng::seed(61);
-    let ladder: Vec<Vec<ServerSpec>> = (0..intervals)
+    (0..intervals)
         .map(|_| {
             // Box–Muller, as the engine draws its interference factor.
             let u1 = 1.0 - jitter.uniform();
@@ -1889,551 +1323,389 @@ fn juno_cell(smoke: bool) -> Cell {
             specs.extend([spec(CoreKind::Small, 650); 4]);
             specs
         })
-        .collect();
-    let rate = JUNO_LOAD * ladder_capacity_rps(&model, &ladder);
-    let mut buf = Vec::new();
-    let (mut new, mut reference) = (Vec::new(), Vec::new());
-    for rep in 0..JUNO_REPS {
-        // Alternate which side goes first, so neither always runs on the
-        // other's warmed-up (or throttled) tail.
-        for side in [rep % 2, 1 - rep % 2] {
-            let mut gen = OpenStreamGen::new(&model, rate, 61);
-            if side == 0 {
-                let mut node = ServiceNode::new();
-                let m = replay_open(
-                    &mut node, &ladder[0], &ladder, 0.0, &mut gen, &mut buf, interval_s, intervals,
-                );
-                new.push(m);
-            } else {
-                let mut node = PackedHeapNode::new();
-                let m = replay_open(
-                    &mut node, &ladder[0], &ladder, 0.0, &mut gen, &mut buf, interval_s, intervals,
-                );
-                reference.push(m);
+        .collect()
+}
+
+/// The pre-generated input of one node-scale cell.
+enum NodeStream {
+    /// Open-loop Memcached arrivals at `rate` from `seed`; a non-empty
+    /// `dvfs` ladder re-keys the node at every interval boundary.
+    Open {
+        specs: Vec<ServerSpec>,
+        dvfs: Vec<Vec<ServerSpec>>,
+        rate: f64,
+        seed: u64,
+    },
+    /// Closed-loop Web-Search clients replaying recorded draw streams.
+    Closed {
+        specs: Vec<ServerSpec>,
+        clients: usize,
+        thinks: Vec<f64>,
+        demands: Vec<Demand>,
+    },
+}
+
+/// How a node-scale cell uses the scan oracle.
+#[derive(Clone, Copy)]
+enum OracleUse {
+    /// Timed every `every` rounds: the cell's floor is the production
+    /// node's events/sec over the oracle's, at least `floor`.
+    Timed { every: usize, floor: f64 },
+    /// Run once untimed over the first `intervals` intervals of the same
+    /// stream, its digests compared with the production passes' — for
+    /// cells whose floor compares the production node with itself, and
+    /// whose full stream would keep the O(n)-per-event oracle busy for
+    /// minutes.
+    Digest { intervals: usize },
+}
+
+/// One node-scale cell: a stream, its shape, and its oracle use.
+struct NodePlan {
+    name: String,
+    stream: NodeStream,
+    interval_s: f64,
+    intervals: usize,
+    oracle: OracleUse,
+}
+
+impl NodePlan {
+    /// One pass of `node` (+ `pool`, closed loop only) over the cell's
+    /// first `intervals` intervals.
+    fn pass<N: EventNode, P: Pool>(
+        &self,
+        model: &LcWorkload,
+        node: &mut N,
+        pool: &mut P,
+        buf: &mut Vec<(f64, Demand)>,
+        intervals: usize,
+    ) -> Measured {
+        match &self.stream {
+            NodeStream::Open {
+                specs,
+                dvfs,
+                rate,
+                seed,
+            } => {
+                let mut gen = OpenStreamGen::new(model, *rate, *seed);
+                replay_open(node, specs, dvfs, &mut gen, buf, self.interval_s, intervals)
             }
+            NodeStream::Closed {
+                specs,
+                clients,
+                thinks,
+                demands,
+            } => replay_closed(
+                node,
+                pool,
+                specs,
+                thinks,
+                demands,
+                *clients,
+                self.interval_s,
+                intervals,
+            ),
         }
     }
-    let (new, reference) = (median_pass(new), median_pass(reference));
-    check_equivalence(JUNO_CELL, &new, &reference);
-    Cell {
-        name: JUNO_CELL.to_string(),
-        mode: "open-juno",
-        servers: 6,
-        clients: None,
-        offered_rps: rate,
-        interval_s,
-        intervals,
-        new,
-        reference,
-        core: None,
+
+    fn production(&self, model: &LcWorkload, buf: &mut Vec<(f64, Demand)>) -> Measured {
+        let (mut node, mut pool) = (ServiceNode::new(), ThinkPool::new());
+        self.pass(model, &mut node, &mut pool, buf, self.intervals)
+    }
+
+    fn oracle(
+        &self,
+        model: &LcWorkload,
+        buf: &mut Vec<(f64, Demand)>,
+        intervals: usize,
+    ) -> Measured {
+        let (mut node, mut pool) = (ReferenceNode::new(), ReferenceThinkPool::new());
+        self.pass(model, &mut node, &mut pool, buf, intervals)
     }
 }
 
-/// The PR6 calendar-queue matrix → `BENCH_PR6.json`: the calendar-backed
-/// [`ServiceNode`] + [`ThinkPool`] vs the frozen PR 5 packed-`u128` heap
-/// ([`PackedHeapNode`] + [`HeapThinkPool`]) on identical streams
-/// (digest-compared; panics on divergence). Cells:
+/// One line of `BENCH.jsonl`: a floor and the value it binds.
+struct FloorRow {
+    workload: String,
+    size: String,
+    metric: &'static str,
+    value: f64,
+    /// The oracle's events/sec where the floor is a speedup over it;
+    /// NaN (`null`) where the floor compares the production node with
+    /// itself.
+    oracle_value: f64,
+    floor: f64,
+    /// `"higher"` or `"lower"`: which side of the floor passes.
+    better: &'static str,
+}
+
+impl FloorRow {
+    fn holds(&self) -> bool {
+        match self.better {
+            "higher" => self.value >= self.floor,
+            _ => self.value <= self.floor,
+        }
+    }
+
+    fn json(&self, smoke: bool) -> String {
+        JsonObj::new()
+            .str("layer", "node")
+            .str("workload", &self.workload)
+            .str("size", &self.size)
+            .str("metric", self.metric)
+            .num("value", (self.value * 1e4).round() / 1e4)
+            .num("oracle_value", self.oracle_value.round())
+            .num("floor", self.floor)
+            .str("better", self.better)
+            .bool("smoke", smoke)
+            .render()
+    }
+}
+
+/// The node-scale family → `BENCH.jsonl`: the production [`ServiceNode`]
+/// (+ [`ThinkPool`]) against the scan oracle [`ReferenceNode`] (+
+/// [`ReferenceThinkPool`]) on identical pre-generated streams,
+/// digest-compared (panics on divergence). Cells:
 ///
-/// * `open/memcached/s1024` — the largest open-loop machine, Poisson
-///   arrivals (1024 in-flight events steady-state);
-/// * `open/memcached-mmpp/s1024` — the same machine under two-state MMPP
-///   bursty arrivals ([`MmppStream`]), clumping events into few
-///   calendar buckets and then starving the ring;
+/// * `open/memcached/s64`, `open/memcached/s1024` — open-loop Poisson
+///   arrivals at [`UTILIZATION`]; the interval length scales inversely
+///   with the server count (same total simulated time per cell), holding
+///   the per-interval completion batch — and with it the recorder's
+///   percentile pass — constant, so the pair compares the *event path* at
+///   two machine sizes;
 /// * `closed/web-search/c1024`, `closed/web-search/c4096` — closed-loop
-///   populations where *both* queues are hot: every event pops/pushes
-///   the think pool and the completion queue;
-/// * `open/memcached-juno/s6` — the real node size (see [`juno_cell`]),
-///   an end-to-end race only: its per-interval rebuilds are outside the
-///   op-trace language.
+///   populations where both the completion queue and the think pool are
+///   hot;
+/// * [`JUNO_CELL`] — the machine every repro node actually is (see
+///   [`juno_ladder`]) serving Memcached at [`JUNO_LOAD`] of its capacity,
+///   re-keyed every 50 ms interval.
 ///
-/// Each cell races *two* metrics (see [`CoreOp`] for the rationale):
+/// One line per floor, each enforced on every non-smoke run that ran its
+/// cells (`--only` included; the file is still written first, so a
+/// failing value is on record):
 ///
-/// * **node** — the full end-to-end replay, calendar node vs frozen heap
-///   node: both implementations share the whole `QueuedNode` body, so
-///   this measures what the queue swap buys the simulation as a user
-///   sees it (~1.1×: the queues are ~1/3 of per-event cost);
-/// * **core** — an op-trace replay: the cell's exact queue-op sequence
-///   (captured by a tracing pass) timed against each (completion queue,
-///   think pool) pair in isolation, which prices the swapped artifact
-///   itself without the shared node work diluting the ratio.
-///
-/// When recording a full (non-smoke, unfiltered) run, enforces the PR 6
-/// floors: core-race ≥1.3× at c4096 over the frozen heaps, end-to-end
-/// c4096 ≥1.0× (no regression), and c4096 per-event throughput within
-/// 1.3× of c1024 (flat event loop in the in-flight population). Any
-/// non-smoke run of the Juno cell (`--only` included) enforces its floor:
-/// the production node at least [`JUNO_FLOOR`]× the frozen heap node.
-fn run_calendar_scale(smoke: bool, only: Option<&str>) {
+/// * s64→s1024 production events/sec ratio ≤ [`FLATNESS_FLOOR`];
+/// * c1024→c4096 production events/sec ratio ≤ [`FLATNESS_FLOOR`];
+/// * Juno production ÷ scan events/sec ≥ [`JUNO_FLOOR`] (0.85 ×
+///   [`JUNO_HEAP_OVER_SCAN`]);
+/// * c4096 production ÷ scan events/sec ≥ 1.0 × [`C4096_HEAP_OVER_SCAN`].
+fn run_node_scale(smoke: bool, only: Option<&str>) {
     let open_model = memcached();
     let closed_model = web_search();
+    let reps = if smoke { 3 } else { NODE_REPS };
+    let mut plans: Vec<NodePlan> = Vec::new();
+
     let t_mean_open = mean_service_s(&open_model);
-    let t_mean_closed = mean_service_s(&closed_model);
-    // Open-loop cells reuse the PR5 shape: interval length scales
-    // inversely with the server count, holding the per-interval
-    // completion batch constant across scales.
-    let open_shape = |servers: usize| {
+    for &servers in &[64usize, 1024] {
+        let name = format!("open/memcached/s{servers}");
+        if !selected(only, &name) {
+            continue;
+        }
         let scale = servers / 64;
         let intervals = if smoke { 2 } else { 10 } * scale;
-        (0.1 / scale as f64, intervals)
-    };
-    let closed_intervals = if smoke { 2 } else { 10 };
-    let closed_interval_s = 1.0;
-
-    struct OpenPlan {
-        name: String,
-        mode: &'static str,
-        servers: usize,
-        rate: f64,
-        interval_s: f64,
-        intervals: usize,
-        specs: Vec<ServerSpec>,
-        /// MMPP mean cycle seconds; `None` = plain Poisson.
-        mmpp_cycle: Option<f64>,
-        seed: u64,
-    }
-    let mut open_plans: Vec<OpenPlan> = Vec::new();
-    {
-        let servers = 1024usize;
-        let (interval_s, intervals) = open_shape(servers);
-        let rate = UTILIZATION * servers as f64 / t_mean_open;
-        let name = format!("open/memcached/s{servers}");
-        if selected(only, &name) {
-            open_plans.push(OpenPlan {
-                name,
-                mode: "open",
-                servers,
-                rate,
-                interval_s,
-                intervals,
+        plans.push(NodePlan {
+            name,
+            stream: NodeStream::Open {
                 specs: big_specs(&open_model, servers),
-                mmpp_cycle: None,
+                dvfs: Vec::new(),
+                rate: UTILIZATION * servers as f64 / t_mean_open,
                 seed: 42,
-            });
-        }
-        let name = format!("open/memcached-mmpp/s{servers}");
-        if selected(only, &name) {
-            open_plans.push(OpenPlan {
-                name,
-                mode: "open-mmpp",
-                servers,
-                rate,
-                interval_s,
-                intervals,
-                specs: big_specs(&open_model, servers),
-                mmpp_cycle: Some(interval_s),
-                seed: 53,
-            });
-        }
+            },
+            interval_s: 0.1 / scale as f64,
+            intervals,
+            // The whole s64 stream, and as many events of s1024's (its
+            // first 10 of 160 intervals).
+            oracle: OracleUse::Digest {
+                intervals: intervals.min(10),
+            },
+        });
     }
 
-    struct ClosedPlan {
-        name: String,
-        servers: usize,
-        clients: usize,
-        offered: f64,
-        specs: Vec<ServerSpec>,
-        thinks: Vec<f64>,
-        demands: Vec<Demand>,
-        probe_checksum: Vec<(usize, usize, usize, u64)>,
-    }
-    let mut closed_plans: Vec<ClosedPlan> = Vec::new();
+    let t_mean_closed = mean_service_s(&closed_model);
+    let closed_intervals = if smoke { 2 } else { 10 };
     for &(servers, clients) in &[(256usize, 1024usize), (1024, 4096)] {
         let name = format!("closed/web-search/c{clients}");
         if !selected(only, &name) {
             continue;
         }
-        // Think time calibrated so offered load ≈ UTILIZATION × capacity
-        // (the PR3 closed-cell calibration).
+        // Think time calibrated so offered load ≈ UTILIZATION × capacity:
+        // clients / (think + t̄) = U × servers / t̄.
         let think = (t_mean_closed * clients as f64 / (UTILIZATION * servers as f64)
             - t_mean_closed)
             .max(1e-3);
-        let offered = clients as f64 / (think + t_mean_closed);
-        // Untimed probe run fixes the stream lengths (and the expected
-        // checksum the replays must reproduce).
-        let mut node = ServiceNode::new();
-        let mut pool = ThinkPool::new();
+        // An untimed probe run fixes the stream lengths.
         let probe = drive_closed(
-            &mut node,
-            &mut pool,
+            &mut ServiceNode::new(),
+            &mut ThinkPool::new(),
             &closed_model,
             servers,
             clients,
             think,
-            closed_interval_s,
+            1.0,
             closed_intervals,
             43,
         );
         let (thinks, demands) = closed_streams(&closed_model, clients, think, &probe, 43);
-        closed_plans.push(ClosedPlan {
+        plans.push(NodePlan {
             name,
-            servers,
-            clients,
-            offered,
-            specs: big_specs(&closed_model, servers),
-            thinks,
-            demands,
-            probe_checksum: probe.checksum,
+            stream: NodeStream::Closed {
+                specs: big_specs(&closed_model, servers),
+                clients,
+                thinks,
+                demands,
+            },
+            interval_s: 1.0,
+            intervals: closed_intervals,
+            oracle: if clients == 4096 {
+                OracleUse::Timed {
+                    every: C4096_ORACLE_EVERY,
+                    floor: C4096_HEAP_OVER_SCAN,
+                }
+            } else {
+                OracleUse::Digest {
+                    intervals: closed_intervals,
+                }
+            },
         });
     }
 
-    let juno = selected(only, JUNO_CELL);
-    if open_plans.is_empty() && closed_plans.is_empty() && !juno {
+    if selected(only, JUNO_CELL) {
+        let intervals = if smoke { 20 } else { 400 };
+        let ladder = juno_ladder(&open_model, intervals);
+        plans.push(NodePlan {
+            name: JUNO_CELL.to_string(),
+            stream: NodeStream::Open {
+                specs: ladder[0].clone(),
+                rate: JUNO_LOAD * ladder_capacity_rps(&open_model, &ladder),
+                dvfs: ladder,
+                seed: 61,
+            },
+            interval_s: 0.05,
+            intervals,
+            oracle: OracleUse::Timed {
+                every: 1,
+                floor: JUNO_FLOOR,
+            },
+        });
+    }
+
+    if plans.is_empty() {
         return; // --only matched nothing here; leave the file alone
     }
 
-    // Timed passes interleave round-robin over (cell × implementation),
-    // for the same drift-spreading reason as the PR5 cells.
+    let model_of = |plan: &NodePlan| match plan.stream {
+        NodeStream::Open { .. } => &open_model,
+        NodeStream::Closed { .. } => &closed_model,
+    };
     let mut buf: Vec<(f64, Demand)> = Vec::new();
+    let mut prod: Vec<Vec<Measured>> = plans.iter().map(|_| Vec::new()).collect();
+    let mut oracle: Vec<Vec<Measured>> = plans.iter().map(|_| Vec::new()).collect();
+    for rep in 0..reps {
+        for (i, plan) in plans.iter().enumerate() {
+            let model = model_of(plan);
+            let timed = matches!(plan.oracle, OracleUse::Timed { every, .. } if rep % every == 0);
+            // Alternate which side goes first, so neither always runs on
+            // the other's warmed-up (or throttled) tail.
+            if timed && rep % 2 == 1 {
+                oracle[i].push(plan.oracle(model, &mut buf, plan.intervals));
+            }
+            prod[i].push(plan.production(model, &mut buf));
+            if timed && rep % 2 == 0 {
+                oracle[i].push(plan.oracle(model, &mut buf, plan.intervals));
+            }
+        }
+    }
 
-    // One untimed tracing pass per cell captures the exact event-core op
-    // sequence the simulation issues (the node result is discarded); the
-    // timed core races replay it below.
-    let open_traces: Vec<Vec<CoreOp>> = open_plans
-        .iter()
-        .map(|plan| {
-            core_trace_take();
-            let mut node = QueuedNode::<TraceQueue>::new();
-            if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
+    let mut eps: Vec<(String, f64)> = Vec::new();
+    let mut rows: Vec<FloorRow> = Vec::new();
+    for (i, plan) in plans.iter().enumerate() {
+        let new = median_pass(std::mem::take(&mut prod[i]));
+        match plan.oracle {
+            OracleUse::Timed { floor, .. } => {
+                let reference = median_pass(std::mem::take(&mut oracle[i]));
+                check_equivalence(&plan.name, &new, &reference);
+                let speedup = new.events_per_sec() / reference.events_per_sec().max(1e-9);
+                println!(
+                    "  {} ... {:.2} M events/s (scan oracle {:.3} M) — {speedup:.2}×",
+                    plan.name,
+                    new.events_per_sec() / 1e6,
+                    reference.events_per_sec() / 1e6,
                 );
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
+                let (workload, size) = plan
+                    .name
+                    .rsplit_once('/')
+                    .expect("cell names end in /<size>");
+                rows.push(FloorRow {
+                    workload: workload.to_string(),
+                    size: size.to_string(),
+                    metric: "speedup_over_scan_events_per_sec",
+                    value: speedup,
+                    oracle_value: reference.events_per_sec(),
+                    floor,
+                    better: "higher",
+                });
+            }
+            OracleUse::Digest { intervals } => {
+                let reference = plan.oracle(model_of(plan), &mut buf, intervals);
+                assert_eq!(
+                    new.checksum[..intervals],
+                    reference.checksum[..],
+                    "{}: production node and scan oracle diverged",
+                    plan.name
+                );
+                println!(
+                    "  {} ... {:.2} M events/s (scan oracle digest-checked over {intervals} \
+                     intervals)",
+                    plan.name,
+                    new.events_per_sec() / 1e6,
                 );
             }
-            core_trace_take()
-        })
-        .collect();
-    let closed_traces: Vec<Vec<CoreOp>> = closed_plans
-        .iter()
-        .map(|plan| {
-            core_trace_take();
-            let mut node = QueuedNode::<TraceQueue>::new();
-            let mut pool = TracePool::default();
-            replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            core_trace_take()
-        })
-        .collect();
-
-    let mut open_new: Vec<Option<Measured>> = open_plans.iter().map(|_| None).collect();
-    let mut open_ref: Vec<Option<Measured>> = open_plans.iter().map(|_| None).collect();
-    let mut closed_new: Vec<Option<Measured>> = closed_plans.iter().map(|_| None).collect();
-    let mut closed_ref: Vec<Option<Measured>> = closed_plans.iter().map(|_| None).collect();
-    let mut open_core_new: Vec<Option<CoreMeasured>> = open_plans.iter().map(|_| None).collect();
-    let mut open_core_ref: Vec<Option<CoreMeasured>> = open_plans.iter().map(|_| None).collect();
-    let mut closed_core_new: Vec<Option<CoreMeasured>> =
-        closed_plans.iter().map(|_| None).collect();
-    let mut closed_core_ref: Vec<Option<CoreMeasured>> =
-        closed_plans.iter().map(|_| None).collect();
-    for _rep in 0..PR6_REPS {
-        for (i, plan) in open_plans.iter().enumerate() {
-            let mut node = ServiceNode::new();
-            let m = if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            };
-            keep_best(&mut open_new[i], m);
-            let mut node = PackedHeapNode::new();
-            let m = if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    0.0,
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            };
-            keep_best(&mut open_ref[i], m);
-            let mut q = CalendarQueue::new();
-            let mut p = ThinkPool::new();
-            keep_best_core(
-                &mut open_core_new[i],
-                replay_core(&open_traces[i], &mut q, &mut p),
-            );
-            let mut q = PackedHeap::default();
-            let mut p = HeapThinkPool::new();
-            keep_best_core(
-                &mut open_core_ref[i],
-                replay_core(&open_traces[i], &mut q, &mut p),
-            );
         }
-        for (i, plan) in closed_plans.iter().enumerate() {
-            let mut node = ServiceNode::new();
-            let mut pool = ThinkPool::new();
-            let m = replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            keep_best(&mut closed_new[i], m);
-            let mut node = PackedHeapNode::new();
-            let mut pool = HeapThinkPool::new();
-            let m = replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            keep_best(&mut closed_ref[i], m);
-            let mut q = CalendarQueue::new();
-            let mut p = ThinkPool::new();
-            keep_best_core(
-                &mut closed_core_new[i],
-                replay_core(&closed_traces[i], &mut q, &mut p),
-            );
-            let mut q = PackedHeap::default();
-            let mut p = HeapThinkPool::new();
-            keep_best_core(
-                &mut closed_core_ref[i],
-                replay_core(&closed_traces[i], &mut q, &mut p),
-            );
+        eps.push((plan.name.clone(), new.events_per_sec()));
+    }
+
+    let find = |n: &str| eps.iter().find(|(name, _)| name == n).map(|&(_, e)| e);
+    for (workload, small, large) in [
+        ("open/memcached", "s64", "s1024"),
+        ("closed/web-search", "c1024", "c4096"),
+    ] {
+        let eps_at = |size| find(&format!("{workload}/{size}"));
+        if let (Some(small_eps), Some(large_eps)) = (eps_at(small), eps_at(large)) {
+            let ratio = small_eps / large_eps.max(1e-9);
+            let size = format!("{small}/{large}");
+            println!("  flatness {workload} {size}: ratio {ratio:.3} (floor {FLATNESS_FLOOR})");
+            rows.push(FloorRow {
+                workload: workload.to_string(),
+                size,
+                metric: "events_per_sec_ratio",
+                value: ratio,
+                oracle_value: f64::NAN,
+                floor: FLATNESS_FLOOR,
+                better: "lower",
+            });
         }
     }
 
-    // Folds one cell's core passes into a `CoreRace`, asserting the
-    // calendar and the frozen heaps returned bit-identical pop/peek
-    // sequences over the recorded trace.
-    let fold_core = |name: &str, ops: usize, new: CoreMeasured, reference: CoreMeasured| {
-        assert_eq!(
-            new.sink, reference.sink,
-            "{name}: calendar and frozen-heap op-trace replays diverged"
-        );
-        CoreRace {
-            ops,
-            new_wall_s: new.wall_s,
-            ref_wall_s: reference.wall_s,
-        }
-    };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (i, plan) in open_plans.into_iter().enumerate() {
-        let new = open_new[i].take().expect("every plan ran");
-        let reference = open_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        let core = fold_core(
-            &plan.name,
-            open_traces[i].len(),
-            open_core_new[i].take().expect("every plan ran"),
-            open_core_ref[i].take().expect("every plan ran"),
-        );
-        println!(
-            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}×; \
-             core {:.1} ns/op (packed heap {:.1}) — {:.2}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-            core.ns_per_op(core.new_wall_s),
-            core.ns_per_op(core.ref_wall_s),
-            core.speedup(),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: plan.mode,
-            servers: plan.servers,
-            clients: None,
-            offered_rps: plan.rate,
-            interval_s: plan.interval_s,
-            intervals: plan.intervals,
-            new,
-            reference,
-            core: Some(core),
-        });
-    }
-    for (i, plan) in closed_plans.into_iter().enumerate() {
-        let new = closed_new[i].take().expect("every plan ran");
-        let reference = closed_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        assert_eq!(
-            new.checksum, plan.probe_checksum,
-            "{}: replayed streams diverged from the inline-sampling probe",
-            plan.name
-        );
-        let core = fold_core(
-            &plan.name,
-            closed_traces[i].len(),
-            closed_core_new[i].take().expect("every plan ran"),
-            closed_core_ref[i].take().expect("every plan ran"),
-        );
-        println!(
-            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}×; \
-             core {:.1} ns/op (packed heap {:.1}) — {:.2}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-            core.ns_per_op(core.new_wall_s),
-            core.ns_per_op(core.ref_wall_s),
-            core.speedup(),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: "closed",
-            servers: plan.servers,
-            clients: Some(plan.clients),
-            offered_rps: plan.offered,
-            interval_s: closed_interval_s,
-            intervals: closed_intervals,
-            new,
-            reference,
-            core: Some(core),
-        });
-    }
-
-    if juno {
-        let cell = juno_cell(smoke);
-        println!(
-            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}× (floor {JUNO_FLOOR})",
-            cell.name,
-            cell.new.events_per_sec() / 1e6,
-            cell.reference.events_per_sec() / 1e6,
-            cell.speedup(),
-        );
-        if !smoke {
-            assert!(
-                cell.speedup() >= JUNO_FLOOR,
-                "Juno floor: {JUNO_CELL} end-to-end events/sec must be at least \
-                 {JUNO_FLOOR}× the frozen packed-heap node, got {:.2}×",
-                cell.speedup()
-            );
-        }
-        cells.push(cell);
-    }
-
-    let find = |n: &str| cells.iter().find(|c| c.name == n);
-    let flat = match (
-        find("closed/web-search/c1024"),
-        find("closed/web-search/c4096"),
-    ) {
-        (Some(c1024), Some(c4096)) => {
-            let ratio = c1024.new.events_per_sec() / c4096.new.events_per_sec().max(1e-9);
-            println!(
-                "\nflatness: c1024 {:.2} M events/s vs c4096 {:.2} M — ratio {ratio:.2} (floor 1.3)",
-                c1024.new.events_per_sec() / 1e6,
-                c4096.new.events_per_sec() / 1e6,
-            );
-            format!(
-                ",\"flatness\":{{\"c1024_events_per_sec\":{:.1},\
-                 \"c4096_events_per_sec\":{:.1},\"ratio\":{:.3}}}",
-                c1024.new.events_per_sec(),
-                c4096.new.events_per_sec(),
-                ratio
-            )
-        }
-        _ => String::new(),
-    };
-
-    // Enforce the recorded-baseline floors on full runs only.
-    if !smoke && only.is_none() {
-        let c4096 = find("closed/web-search/c4096").expect("full run has the c4096 cell");
-        let core = c4096.core.as_ref().expect("PR6 cells record a core race");
-        assert!(
-            core.speedup() >= 1.3,
-            "PR6 floor: the closed/web-search/c4096 event-core op-trace replay must be \
-             ≥1.3× over the frozen packed heaps, got {:.2}×",
-            core.speedup()
-        );
-        assert!(
-            c4096.speedup() >= 1.0,
-            "PR6 floor: closed/web-search/c4096 end-to-end events/sec must not regress \
-             vs the frozen heap node, got {:.2}×",
-            c4096.speedup()
-        );
-        let c1024 = find("closed/web-search/c1024").expect("full run has the c1024 cell");
-        let ratio = c1024.new.events_per_sec() / c4096.new.events_per_sec().max(1e-9);
-        assert!(
-            ratio <= 1.3,
-            "PR6 floor: c4096 events/sec must be within 1.3× of c1024, got {ratio:.2}×"
-        );
-    }
-
-    let body: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster calendar-queue event core\",\"pr\":\"PR6\",\
-         \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
-         \"utilization\":{UTILIZATION},\
-         \"reference_impl\":\"PackedHeapNode + HeapThinkPool (PR5 packed-u128 binary heaps)\",\
-         \"mmpp\":{{\"duty\":{MMPP_DUTY},\"burst_factor\":{MMPP_BURST_FACTOR},\
-         \"calm_factor\":{MMPP_CALM_FACTOR}}},\
-         \"cells\":[\n  {}\n]{flat}}}\n",
-        body.join(",\n  ")
-    );
-    let path = "BENCH_PR6.json";
-    match std::fs::write(path, &json) {
+    let body: String = rows.iter().map(|r| r.json(smoke) + "\n").collect();
+    let path = "BENCH.jsonl";
+    match std::fs::write(path, body) {
         Ok(()) => println!("  [json] wrote {path}"),
         Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
+    }
+    // Floors bind on full runs only: smoke runs are seconds-long and land
+    // on noisy CI machines.
+    if !smoke {
+        for row in &rows {
+            assert!(
+                row.holds(),
+                "node floor: {} {} {} = {:.4} must be {} than {:.4}",
+                row.workload,
+                row.size,
+                row.metric,
+                row.value,
+                row.better,
+                row.floor
+            );
+        }
     }
 }
 
@@ -2854,31 +2126,6 @@ mod tests {
     }
 
     #[test]
-    fn core_trace_replays_identically_on_both_impls() {
-        // Capture a small closed-loop cell's op trace, then replay it
-        // against the calendar pair and the frozen heap pair: both must
-        // return bit-identical pop/peek sequences (folded into `sink`).
-        let model = web_search();
-        core_trace_take();
-        let mut node = QueuedNode::<TraceQueue>::new();
-        let mut pool = TracePool::default();
-        drive_closed(&mut node, &mut pool, &model, 3, 48, 0.05, 0.25, 3, 5);
-        let ops = core_trace_take();
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op, CoreOp::CqPush(..) | CoreOp::TpPush(..))),
-            "trace captured no pushes"
-        );
-        let mut q = CalendarQueue::new();
-        let mut p = ThinkPool::new();
-        let new = replay_core(&ops, &mut q, &mut p);
-        let mut q = PackedHeap::default();
-        let mut p = HeapThinkPool::new();
-        let reference = replay_core(&ops, &mut q, &mut p);
-        assert_eq!(new.sink, reference.sink);
-    }
-
-    #[test]
     fn closed_driver_equivalent_across_impls() {
         let model = web_search();
         let mut a = ServiceNode::new();
@@ -2894,7 +2141,8 @@ mod tests {
     #[test]
     fn closed_replay_matches_inline_sampling() {
         // The record/replay hoist must reproduce the inline-sampling
-        // driver bit-for-bit, for both the calendar and frozen-heap impls.
+        // driver bit-for-bit, for both the production node and the scan
+        // oracle.
         let model = web_search();
         let (servers, clients, think, interval_s, intervals, seed) = (3, 48, 0.05, 0.25, 3, 5);
         let mut a = ServiceNode::new();
@@ -2910,44 +2158,76 @@ mod tests {
             &mut b, &mut pb, &specs, &thinks, &demands, clients, interval_s, intervals,
         );
         assert_eq!(cal.checksum, probe.checksum, "replay diverged from probe");
-        let mut c = PackedHeapNode::new();
-        let mut pc = HeapThinkPool::new();
-        let heap = replay_closed(
+        let mut c = ReferenceNode::new();
+        let mut pc = ReferenceThinkPool::new();
+        let scan = replay_closed(
             &mut c, &mut pc, &specs, &thinks, &demands, clients, interval_s, intervals,
         );
-        assert_eq!(heap.checksum, probe.checksum, "heap replay diverged");
+        assert_eq!(scan.checksum, probe.checksum, "scan replay diverged");
     }
 
     #[test]
-    fn mmpp_stream_is_deterministic_and_rate_sane() {
+    fn open_replay_matches_inline_sampling() {
+        // The pre-generated open-loop stream must drive the same
+        // simulation as the inline-sampling driver, on both nodes.
         let model = memcached();
-        let rate = 2000.0;
-        let mut counts = Vec::new();
-        for _ in 0..2 {
-            let mut gen = MmppStream::new(&model, rate, 0.1, 9);
-            let mut buf = Vec::new();
-            let mut all: Vec<(u64, u64)> = Vec::new();
-            let mut total = 0usize;
-            for i in 1..=20 {
-                gen.gen_interval(i as f64 * 0.1, &mut buf);
-                total += buf.len();
-                all.extend(buf.iter().map(|(t, d)| (t.to_bits(), d.work.to_bits())));
-            }
-            // Arrivals are strictly ordered across interval boundaries.
-            assert!(all
-                .windows(2)
-                .all(|w| { f64::from_bits(w[0].0) <= f64::from_bits(w[1].0) }));
-            counts.push((total, all));
-        }
-        assert_eq!(counts[0], counts[1], "same seed must replay identically");
-        // Long-run mean rate ≈ nominal (duty-weighted factors sum to 1);
-        // the tolerance is loose — 2 s of a bursty stream is noisy.
-        let requests = counts[0].0 as f64;
-        let expected = rate * 2.0;
-        assert!(
-            requests > expected * 0.4 && requests < expected * 2.5,
-            "MMPP mean rate off: got {requests} arrivals, expected ≈{expected}"
+        let rate = 0.7 * 3.0 / mean_service_s(&model);
+        let probe = drive_open(&mut ServiceNode::new(), &model, 3, rate, 0.02, 3, 5);
+        let specs = big_specs(&model, 3);
+        let mut buf = Vec::new();
+        let mut gen = OpenStreamGen::new(&model, rate, 5);
+        let new = replay_open(
+            &mut ServiceNode::new(),
+            &specs,
+            &[],
+            &mut gen,
+            &mut buf,
+            0.02,
+            3,
         );
+        assert_eq!(new.checksum, probe.checksum, "replay diverged from probe");
+        let mut gen = OpenStreamGen::new(&model, rate, 5);
+        let scan = replay_open(
+            &mut ReferenceNode::new(),
+            &specs,
+            &[],
+            &mut gen,
+            &mut buf,
+            0.02,
+            3,
+        );
+        assert_eq!(scan.checksum, probe.checksum, "scan replay diverged");
+    }
+
+    #[test]
+    fn juno_ladder_replays_identically_on_both_nodes() {
+        // The per-interval DVFS re-key path, on the real node size.
+        let model = memcached();
+        let ladder = juno_ladder(&model, 12);
+        let rate = JUNO_LOAD * ladder_capacity_rps(&model, &ladder);
+        let mut buf = Vec::new();
+        let mut gen = OpenStreamGen::new(&model, rate, 61);
+        let new = replay_open(
+            &mut ServiceNode::new(),
+            &ladder[0],
+            &ladder,
+            &mut gen,
+            &mut buf,
+            0.05,
+            12,
+        );
+        let mut gen = OpenStreamGen::new(&model, rate, 61);
+        let scan = replay_open(
+            &mut ReferenceNode::new(),
+            &ladder[0],
+            &ladder,
+            &mut gen,
+            &mut buf,
+            0.05,
+            12,
+        );
+        assert_eq!(new.checksum, scan.checksum);
+        assert!(new.events > 0);
     }
 
     #[test]
@@ -2974,18 +2254,46 @@ mod tests {
             intervals: 2,
             new: m,
             reference: r,
-            core: Some(CoreRace {
-                ops: 20,
-                new_wall_s: 0.1,
-                ref_wall_s: 0.3,
-            }),
         };
         let j = cell.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"clients\":null"));
-        assert!(j.contains("\"speedup\":2.00"));
-        assert!(j.contains("\"core\":{\"ops\":20"));
-        assert!(j.contains("\"speedup\":3.00"));
+        assert!(j.ends_with("\"speedup\":2.00}"));
+    }
+
+    #[test]
+    fn floor_rows_render_the_bench_schema() {
+        let speedup = FloorRow {
+            workload: "open/memcached-juno".into(),
+            size: "s6".into(),
+            metric: "speedup_over_scan_events_per_sec",
+            value: 1.654321,
+            oracle_value: 19_876_543.4,
+            floor: 1.25,
+            better: "higher",
+        };
+        assert!(speedup.holds());
+        let obj = JsonObj::parse(&speedup.json(false)).expect("one flat JSON line");
+        assert_eq!(obj.get_str("layer"), Some("node"));
+        assert_eq!(obj.get_str("workload"), Some("open/memcached-juno"));
+        assert_eq!(obj.get_num("value"), Some(1.6543));
+        assert_eq!(obj.get_num("oracle_value"), Some(19_876_543.0));
+        assert_eq!(obj.get_num("floor"), Some(1.25));
+        assert_eq!(obj.get_str("better"), Some("higher"));
+        assert_eq!(obj.get_bool("smoke"), Some(false));
+        let flat = FloorRow {
+            value: 1.31,
+            oracle_value: f64::NAN,
+            floor: 1.3,
+            better: "lower",
+            ..speedup
+        };
+        assert!(!flat.holds());
+        let line = flat.json(true);
+        assert!(line.contains("\"oracle_value\":null"), "{line}");
+        let obj = JsonObj::parse(&line).expect("one flat JSON line");
+        assert!(obj.get_num("oracle_value").is_some_and(f64::is_nan));
+        assert_eq!(obj.get_bool("smoke"), Some(true));
     }
 
     #[test]

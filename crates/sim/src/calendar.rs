@@ -11,10 +11,10 @@
 //! this year) and are filtered by comparing their virtual day, so
 //! far-future events cost nothing until the cursor actually reaches them.
 //!
-//! Five structural choices keep the constant factor below the binary
-//! heaps this replaces (whose pops walk ~12 cache-hostile levels at 4096
-//! in-flight events) at every population, from a Juno node's ≤6 pending
-//! completions to thousands of thinking clients:
+//! Five structural choices keep the constant factor below a binary heap's
+//! (whose pops walk ~12 cache-hostile levels at 4096 in-flight events) at
+//! every population, from a Juno node's ≤6 pending completions to
+//! thousands of thinking clients:
 //!
 //! * **Small populations skip the ring entirely.** While at most
 //!   `FLAT_MAX` (8, one bucket's slots) entries are live, they all sit in
@@ -40,8 +40,8 @@
 //!   of entries and is paid once per day, amortized O(1) per event.
 //! * **An occupancy bitmap skips empty days word-wise.** Advancing the
 //!   cursor consults one bit per day instead of touching each bucket —
-//!   the same trick as the PR 5 dispatch free-list bitmaps, flattened to
-//!   one level because the walk is sequential anyway.
+//!   the same trick as the dispatch free-list bitmaps, flattened to one
+//!   level because the walk is sequential anyway.
 //! * **Day-membership is decided per bucket, not per entry.** The packed
 //!   key order is monotone in the day mapping, so one look at a bucket's
 //!   smallest entry rejects a whole future-rotation bucket, and one look
@@ -63,16 +63,16 @@
 //!
 //! # Exact pop order
 //!
-//! Completion entries are the same packed `u128`s as the frozen
-//! [`PackedHeap`](crate::reference::PackedHeap) — high 64 bits the event
-//! time mapped through the order-preserving [`f64::total_cmp`] bit trick,
-//! low 64 bits the payload (server index) — and the queue always pops the
+//! Completion entries are packed `u128`s — high 64 bits the event time
+//! mapped through the order-preserving [`f64::total_cmp`] bit trick, low
+//! 64 bits the payload (server index) — and the queue always pops the
 //! *global minimum* entry: `today` is sorted by the packed key, days are
 //! visited in time order, and a day's membership check is monotone in the
-//! packed key. Pop sequences are therefore bit-for-bit identical to the
-//! binary heaps this replaces (differential battery:
-//! `tests/calendar_equivalence.rs`), including `total_cmp` tie ranks,
-//! timeout-cancellation windows and DVFS rescale re-keys.
+//! packed key. Pop sequences are therefore exactly those of a sorted
+//! `(time, payload)` list under `total_cmp` — earliest time first, ties to
+//! the lowest payload — which is the oracle the differential battery
+//! (`tests/calendar_equivalence.rs`) races the queue against, including
+//! `total_cmp` tie ranks, far-future aliasing and DVFS rescale re-keys.
 
 /// Maps an event time to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`] order. Exact for every float (including negatives,
@@ -598,10 +598,9 @@ impl<E: Slot> Ring<E> {
 
 /// Rotating time-bucket priority queue of packed `(time, payload)` events
 /// with O(1) amortized push/pop and an always-warm minimum (O(1) peek:
-/// the back of the sorted current-day stack). Backs
-/// [`CompletionQueue`](crate::completion::CompletionQueue) as used by
-/// [`ServiceNode`](crate::ServiceNode) (payload = server index); the
-/// think-timer side uses the key-only `TimerCalendar` instantiation of
+/// the back of the sorted current-day stack). Backs the pending-completion
+/// index of [`ServiceNode`](crate::ServiceNode) (payload = server index);
+/// the think-timer side uses the key-only `TimerCalendar` instantiation of
 /// the same ring.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
@@ -653,8 +652,7 @@ impl CalendarQueue {
     }
 
     /// Pops the earliest event if its time is ≤ `to` (under `f64` `>`
-    /// semantics: a NaN minimum never compares later, matching the heaps
-    /// this replaces). O(1) amortized.
+    /// semantics: a NaN minimum never compares later). O(1) amortized.
     #[inline]
     pub fn pop_if_le(&mut self, to: f64) -> Option<(f64, usize)> {
         let &e = self.ring.today.last()?;
@@ -1149,6 +1147,26 @@ mod tests {
         assert_eq!(out.len(), 17);
         assert!(q.is_empty());
         assert_eq!(q.peek_min_time(), None);
+    }
+
+    /// An O(n) rebuild from unordered entries (with time ties) pops exactly
+    /// the sequence the same entries pushed one by one do.
+    #[test]
+    fn rebuild_matches_pushes() {
+        let times = [5.0, 1.0, 4.0, 4.0, 2.0, 9.0, 0.25, 4.0];
+        let mut pushed = CalendarQueue::new();
+        for (p, &t) in times.iter().enumerate() {
+            pushed.push(t, p);
+        }
+        let mut scratch: Vec<(f64, usize)> = times.iter().copied().zip(0..times.len()).collect();
+        let mut rebuilt = CalendarQueue::new();
+        rebuilt.rebuild_from_unpacked(&mut scratch);
+        assert!(scratch.is_empty());
+        assert_eq!(rebuilt.len(), pushed.len());
+        let mut payloads: Vec<usize> = rebuilt.payloads().collect();
+        payloads.sort_unstable();
+        assert_eq!(payloads, (0..times.len()).collect::<Vec<_>>());
+        assert_eq!(drain_all(&mut rebuilt), drain_all(&mut pushed));
     }
 
     /// The `u64` timer instantiation: same order, multiset semantics, and

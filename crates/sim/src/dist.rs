@@ -2,8 +2,8 @@
 //!
 //! Implemented from scratch on top of [`SimRng`] uniforms so
 //! the simulator has no external RNG dependency at all:
-//! exponential (inversion), normal (Box–Muller), lognormal, bounded Pareto
-//! (inversion) and Zipf (rejection-free inversion over a precomputed CDF).
+//! exponential (inversion), normal (Box–Muller), lognormal and bounded
+//! Pareto (inversion).
 //!
 //! The exponential, normal and lognormal draws evaluate `ln`, `cos` and
 //! `exp` with the in-repo [`math`] kernels, so their bits do not depend
@@ -111,8 +111,8 @@ impl Sampler for Normal {
 
 /// Lognormal distribution: `exp(N(mu, sigma))`.
 ///
-/// Heavy-tailed service demands (e.g. Web-Search queries over a Zipfian
-/// corpus) are modelled with large `sigma`.
+/// Heavy-tailed service demands (e.g. Web-Search queries over a corpus with
+/// power-law term popularity) are modelled with large `sigma`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     base: Normal,
@@ -201,52 +201,6 @@ impl Sampler for BoundedPareto {
         let (la, ha) = (self.la, self.ha);
         // Inversion of the bounded Pareto CDF.
         (-(u * ha - u * la - ha) / (ha * la)).powf(self.neg_inv_alpha)
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`, sampled by
-/// inversion over a precomputed CDF (O(log n) per draw).
-///
-/// Used to model the Zipfian popularity of Web-Search terms (Table 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/not finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s.is_finite() && s >= 0.0, "invalid exponent: {s}");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `1..=n` (smaller ranks are more likely).
-    pub fn sample_rank(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform();
-        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1) + 1,
-        }
-    }
-}
-
-impl Sampler for Zipf {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_rank(rng) as f64
     }
 }
 
@@ -371,27 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_rank_one_most_popular() {
-        let d = Zipf::new(1000, 1.0);
-        let mut rng = SimRng::seed(7);
-        let mut counts = vec![0usize; 1001];
-        for _ in 0..100_000 {
-            counts[d.sample_rank(&mut rng)] += 1;
-        }
-        assert!(counts[1] > counts[2]);
-        assert!(counts[2] > counts[10]);
-        // Roughly 1/H(1000) ≈ 13% of mass on rank 1 for s=1.
-        assert!(counts[1] > 100_000 / 10);
-    }
-
-    #[test]
-    fn zipf_single_rank() {
-        let d = Zipf::new(1, 1.2);
-        let mut rng = SimRng::seed(8);
-        assert_eq!(d.sample_rank(&mut rng), 1);
-    }
-
-    #[test]
     fn constant_is_constant() {
         let d = Constant(3.5);
         let mut rng = SimRng::seed(9);
@@ -403,11 +336,5 @@ mod tests {
     #[should_panic(expected = "invalid rate")]
     fn exponential_rejects_zero_rate() {
         Exponential::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zipf_rejects_empty() {
-        Zipf::new(0, 1.0);
     }
 }

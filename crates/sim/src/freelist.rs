@@ -12,14 +12,12 @@
 //! each. Promoting stalled servers whose reconfiguration stall elapsed is
 //! a word-wise merge of a parallel stalled bitset.
 //!
-//! Tie-breaking replicates the free-server max-heap the PR 5 speed-class
-//! table replaced exactly: rank order *is* the heap's `(eff, index)`
-//! order, fastest first and, among equal speeds, the highest index.
+//! Tie-breaking replicates the original dispatch scan exactly (a `max_by`
+//! over effective speed, which returns the *last* maximal server): rank
+//! order is `(eff, index)` descending, fastest first and, among equal
+//! speeds, the highest index.
 
-/// Free-server index in dispatch-preference order, bitmap-backed.
-///
-/// Replaces the `BinaryHeap<(eff, server)>` + stalled `Vec` pair of the
-/// PR 3/4-era node (frozen as [`crate::reference::HeapNode`]):
+/// Free-server index in dispatch-preference order, bitmap-backed:
 ///
 /// * [`pop_best`](RankFreeList::pop_best) — fastest free server, ties
 ///   toward the highest index — is O(1): the lowest set rank of the
@@ -225,7 +223,7 @@ mod tests {
             fl.mark_free(i);
         }
         // Fast servers by index descending, then slow ones descending —
-        // exactly the (eff, index) max-heap pop order.
+        // exactly the (eff, index)-descending order of the dispatch scan.
         let order: Vec<usize> = std::iter::from_fn(|| fl.pop_best()).collect();
         assert_eq!(order, vec![5, 3, 1, 4, 2, 0]);
         assert_eq!(fl.pop_best(), None);
@@ -314,7 +312,7 @@ mod tests {
     }
 
     /// Drives the free list and a sorted oracle of the free set (`(eff,
-    /// index)` max first — the heap order dispatch must reproduce) through
+    /// index)` max first — the order dispatch must reproduce) through
     /// `ops`, asserting every pop agrees.
     fn run_oracle(ops: &[FOp]) {
         let speed = |s: u8| [0.5, 1.0, 2.0, 3.5][s as usize];

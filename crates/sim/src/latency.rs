@@ -4,9 +4,7 @@
 //! the requests completed in each monitoring interval. [`LatencyRecorder`]
 //! collects exact per-interval samples into a buffer that is reused across
 //! intervals; [`percentile`] computes exact order statistics by selection
-//! (expected O(n), no full sort); [`P2Quantile`] is a constant-memory
-//! streaming estimator used where exact collection would be wasteful
-//! (long-horizon monitoring).
+//! (expected O(n), no full sort).
 
 /// Exact percentile of a sample set using linear interpolation between order
 /// statistics (the same convention as `numpy.percentile(..., 'linear')`).
@@ -118,129 +116,9 @@ impl LatencyRecorder {
     }
 }
 
-/// The P² (Jain & Chlamtac) streaming quantile estimator: estimates one
-/// quantile in O(1) memory without storing samples.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Marker positions (1-based).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Increments to desired positions.
-    dn: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile {p} not in (0,1)");
-        P2Quantile {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial.sort_by(f64::total_cmp);
-                self.q.copy_from_slice(&self.initial);
-            }
-            return;
-        }
-        // Find cell k such that q[k] <= x < q[k+1], clamping extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.q[i] <= x && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.q;
-        let n = &self.n;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// Current quantile estimate; `None` until at least one sample arrived.
-    pub fn quantile(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            let mut xs = self.initial.clone();
-            return percentile(&mut xs, self.p);
-        }
-        Some(self.q[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
 
     #[test]
     fn percentile_small_sets() {
@@ -271,38 +149,6 @@ mod tests {
         // Cleared after take.
         assert!(r.is_empty());
         assert_eq!(r.take_interval(0.95), (None, None, 0));
-    }
-
-    #[test]
-    fn p2_tracks_exponential_p95() {
-        let mut est = P2Quantile::new(0.95);
-        let mut rng = SimRng::seed(11);
-        let mut exact = Vec::new();
-        for _ in 0..100_000 {
-            let x = -(1.0 - rng.uniform()).ln();
-            est.observe(x);
-            exact.push(x);
-        }
-        let e = percentile(&mut exact, 0.95).unwrap();
-        let got = est.quantile().unwrap();
-        assert!(
-            (got - e).abs() / e < 0.05,
-            "P² {got} vs exact {e} (expected within 5%)"
-        );
-    }
-
-    #[test]
-    fn p2_few_samples_falls_back_to_exact() {
-        let mut est = P2Quantile::new(0.5);
-        est.observe(3.0);
-        est.observe(1.0);
-        assert_eq!(est.quantile(), Some(2.0));
-        assert_eq!(est.count(), 2);
-    }
-
-    #[test]
-    fn p2_empty_is_none() {
-        assert_eq!(P2Quantile::new(0.9).quantile(), None);
     }
 
     #[test]

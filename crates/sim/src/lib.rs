@@ -61,7 +61,6 @@ pub mod math;
 pub mod reference;
 
 mod calendar;
-mod completion;
 mod config;
 mod costs;
 mod engine;
@@ -70,7 +69,6 @@ mod freelist;
 mod jsonl;
 mod latency;
 mod lookahead;
-mod ordf64;
 mod request;
 mod rng;
 mod service;
@@ -80,7 +78,6 @@ mod trace;
 mod traits;
 
 pub use calendar::CalendarQueue;
-pub use completion::CompletionQueue;
 pub use config::{EngineSpec, EngineSpecError};
 pub use costs::{ContentionModel, ReconfigCosts};
 pub use engine::{Engine, IntervalStats, MachineConfig, DEFAULT_JITTER_SIGMA};
@@ -88,10 +85,10 @@ pub use fault::{
     DomainFaultSpec, FaultPlan, FaultSpec, FaultSpecError, FaultState, HedgeSpec, WavePlan,
 };
 pub use jsonl::{interval_from_jsonl, interval_to_jsonl};
-pub use latency::{percentile, LatencyRecorder, P2Quantile};
+pub use latency::{percentile, LatencyRecorder};
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
-pub use service::{NodeInterval, QueuedNode, ServerSpec, ServiceNode};
+pub use service::{NodeInterval, ServerSpec, ServiceNode};
 pub use think::ThinkPool;
 pub use topology::{TopologyError, TopologySpec};
 pub use trace::{csv_header, csv_row, Trace};

@@ -20,11 +20,10 @@
 //!
 //! * pending completions live in a [`CalendarQueue`] of `(finish, server)`
 //!   events — finding and retiring the earliest completion is an O(1)
-//!   amortized bucket pop (PR 6; previously an O(log n) heap pop, and
-//!   before that a scan plus a float-equality re-scan). A Juno node's ≤6
-//!   pending completions never leave the queue's flat mode: one sorted
-//!   stack, an insert per dispatch and a `Vec::pop` per completion, which
-//!   a per-interval DVFS rebuild cannot mis-size;
+//!   amortized bucket pop. A Juno node's ≤6 pending completions never
+//!   leave the queue's flat mode: one sorted stack, an insert per
+//!   dispatch and a `Vec::pop` per completion, which a per-interval DVFS
+//!   rebuild cannot mis-size;
 //! * free servers live in a **preference-rank bitmap free list**
 //!   (`freelist.rs`): the servers sorted once by (effective speed
 //!   `speed / slowdown` descending, index descending) — re-sorted only
@@ -37,26 +36,18 @@
 //!   busy accounting walks the pending-completion entries (the busy
 //!   servers) rather than every server.
 //!
-//! Tie-breaking reproduces the order the free-server max-heap (and the
-//! linear scans before it) produced — completions: lowest server index
-//! first; dispatch: fastest effective speed, ties toward the highest
-//! server index via leading-bit selection — so traces are bit-identical to
-//! both predecessors, property-tested against the frozen copies in
-//! [`crate::reference`] (`ReferenceNode`: pre-PR3 scans; `HeapNode`:
-//! PR 3/4-era heaps; `PackedHeapNode`: the PR 5 node around the frozen
-//! packed-`u128` completion heap).
-//!
-//! The node body is written once as [`QueuedNode`], generic over the
-//! [`CompletionQueue`] implementation; [`ServiceNode`] is the production
-//! instantiation over the calendar queue, and the reference node over the
-//! frozen heap shares every other line of code.
+//! Tie-breaking reproduces the order the original linear scans produced —
+//! completions: lowest server index first; dispatch: fastest effective
+//! speed, ties toward the highest server index via leading-bit selection —
+//! so traces are bit-identical to the scan node kept as the oracle
+//! ([`ReferenceNode`](crate::reference::ReferenceNode)), property-tested
+//! in `tests/node_equivalence.rs` and raced in `repro bench`.
 
 use std::collections::VecDeque;
 
 use hipster_platform::{CoreKind, Frequency};
 
 use crate::calendar::CalendarQueue;
-use crate::completion::CompletionQueue;
 use crate::freelist::RankFreeList;
 use crate::latency::LatencyRecorder;
 use crate::request::{Demand, Request, RequestId};
@@ -147,18 +138,15 @@ pub struct NodeInterval {
     pub queue_len: usize,
 }
 
-/// FIFO multi-server queueing node for the latency-critical workload,
-/// generic over its pending-completion index `Q`.
+/// FIFO multi-server queueing node for the latency-critical workload.
 ///
 /// Indexed for event-count scalability: pending completions in a
-/// `(finish, server)` min-queue (the production [`CalendarQueue`]: O(1)
-/// amortized), free servers in a preference-rank bitmap free list (O(1)
-/// dispatch — `freelist.rs`) and an incremental in-flight count, with
-/// tie-breaking that reproduces the PR 5 packed heap, the PR 3/4-era
-/// heaps, and the original linear scans bit-for-bit (see
-/// [`crate::reference`]).
+/// `(finish, server)` [`CalendarQueue`] (O(1) amortized), free servers in
+/// a preference-rank bitmap free list (O(1) dispatch — `freelist.rs`) and
+/// an incremental in-flight count, with tie-breaking that reproduces the
+/// original linear scans bit-for-bit (see [`crate::reference`]).
 #[derive(Debug, Clone)]
-pub struct QueuedNode<Q: CompletionQueue> {
+pub struct ServiceNode {
     queue: VecDeque<Request>,
     /// Hot per-server records (see [`HotServer`]).
     hot: Vec<HotServer>,
@@ -172,7 +160,7 @@ pub struct QueuedNode<Q: CompletionQueue> {
     /// Min-queue of pending completions, one entry per busy server.
     /// Entries are never stale: reconfigurations rebuild the queue and
     /// completions pop their own entry.
-    completions: Q,
+    completions: CalendarQueue,
     /// Free servers in dispatch-preference order: one two-level bitset of
     /// dispatchable servers by rank, plus a parallel stalled bitset for
     /// servers parked inside a reconfiguration stall. Reconfigurations park
@@ -186,9 +174,8 @@ pub struct QueuedNode<Q: CompletionQueue> {
     /// Reused buffer for preempted in-flight requests (no allocation per
     /// reconfiguration once warm).
     preempt_scratch: Vec<Request>,
-    /// Reused buffer for the completion-heap drain/rebuild at
-    /// reconfiguration (heapified in O(n) rather than pushed in
-    /// O(n log n)).
+    /// Reused buffer for the completion-queue drain/rebuild at
+    /// reconfiguration (placed in O(n) rather than pushed one by one).
     completion_scratch: Vec<(f64, usize)>,
     /// Reused busy-membership scratch for the free-list rebuild.
     busy_scratch: Vec<bool>,
@@ -209,20 +196,16 @@ pub struct QueuedNode<Q: CompletionQueue> {
     timeout_s: Option<f64>,
 }
 
-/// The production service node: [`QueuedNode`] over the O(1) amortized
-/// [`CalendarQueue`] completion index.
-pub type ServiceNode = QueuedNode<CalendarQueue>;
-
-impl<Q: CompletionQueue> QueuedNode<Q> {
+impl ServiceNode {
     /// Creates a node with no servers (configure before use).
     pub fn new() -> Self {
-        QueuedNode {
+        ServiceNode {
             queue: VecDeque::new(),
             hot: Vec::new(),
             rate: Vec::new(),
             cold: Vec::new(),
             eff: Vec::new(),
-            completions: Q::default(),
+            completions: CalendarQueue::new(),
             free: RankFreeList::new(),
             recorder: LatencyRecorder::new(),
             preempt_scratch: Vec::new(),
@@ -367,7 +350,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     }
 
     /// Revokes every server at time `now` — the fault-injection layer's
-    /// full-revocation path ([`QueuedNode::reconfigure`] itself rejects
+    /// full-revocation path ([`ServiceNode::reconfigure`] itself rejects
     /// an empty server list). In-flight requests are preempted with their
     /// remaining demand preserved and requeued in arrival order; the
     /// server set, free list, and pending-completion queue
@@ -408,7 +391,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         }
         // O(n) rebuild; pop order over distinct `(finish, server)` keys
         // is the same as for a queue built by pushes.
-        self.completions.rebuild_from(busy);
+        self.completions.rebuild_from_unpacked(busy);
     }
 
     fn preempt_all(&mut self, now: f64) {
@@ -485,7 +468,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     /// Earliest pending completion time, if any request is in flight (O(1):
     /// a peek at the completion queue's cached minimum).
     pub fn next_completion(&self) -> Option<f64> {
-        self.completions.peek_finish()
+        self.completions.peek_min_time()
     }
 
     /// Processes all completions up to and including time `to`.
@@ -495,7 +478,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         }
     }
 
-    /// Like [`QueuedNode::advance`], but appends each completion time to
+    /// Like [`ServiceNode::advance`], but appends each completion time to
     /// `out` (closed-loop generators schedule think timers from these).
     pub fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
         while let Some((finish, server)) = self.completions.pop_if_le(to) {
@@ -600,7 +583,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         // pending-completion entries are exactly the busy servers (one
         // entry each), so this walks O(in-flight) servers, not all of them.
         let interval_start = self.interval_start;
-        for i in self.completions.servers() {
+        for i in self.completions.payloads() {
             let h = &mut self.hot[i];
             h.busy_in_interval += t_end - h.started.max(interval_start);
         }
@@ -630,7 +613,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         let queued = self.queue.front().map(|r| r.age(now));
         let in_flight = self
             .completions
-            .servers()
+            .payloads()
             .map(|i| (now - self.hot[i].arrival).max(0.0))
             .max_by(f64::total_cmp);
         match (queued, in_flight) {
@@ -642,7 +625,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     }
 }
 
-impl<Q: CompletionQueue> Default for QueuedNode<Q> {
+impl Default for ServiceNode {
     fn default() -> Self {
         Self::new()
     }
@@ -722,7 +705,7 @@ mod tests {
     #[test]
     fn equal_speed_tie_breaks_to_highest_index() {
         // The old `max_by` scan returned the *last* maximal server; the
-        // free heap must reproduce that.
+        // free list must reproduce that.
         let mut n = ServiceNode::new();
         n.reconfigure(
             0.0,
@@ -746,7 +729,7 @@ mod tests {
     #[test]
     fn equal_finish_completes_lowest_index_first() {
         // Two identical servers, two identical requests submitted together:
-        // both finish at the same instant; the completion heap must retire
+        // both finish at the same instant; the completion queue must retire
         // server 0's request first (the old `position` scan order). The
         // third request then dispatches onto server 0.
         let mut n = ServiceNode::new();

@@ -1,7 +1,8 @@
-//! Differential property battery: the PR 6 [`CalendarQueue`] must
-//! reproduce the frozen PR 5 packed-`u128` binary heap
-//! ([`PackedHeap`]) **event for event** — identical `(finish, server)`
-//! pop sequences under every regime the node can throw at it:
+//! Differential property battery: the [`CalendarQueue`] must pop exactly
+//! what a sorted-`Vec` oracle of `(time, payload)` entries pops —
+//! earliest time under [`f64::total_cmp`] first, ties to the lowest
+//! payload — **event for event**, under every regime the service node can
+//! throw at it:
 //!
 //! * raw-queue interleavings of pushes and bounded pops, including
 //!   far-future events that alias around the bucket ring for thousands of
@@ -10,29 +11,138 @@
 //!   calm gaps — CloudCoaster's regime), population swings that cross the
 //!   queue's grow/shrink thresholds in both directions, DVFS-style
 //!   drain/rescale/rebuild re-keying, and `total_cmp` extremes
-//!   (infinities, negative zero, NaN);
-//! * whole-node interleavings — arrival / advance / preempt / stall /
-//!   DVFS-reconfigure / timeout shedding — by racing the production
-//!   [`ServiceNode`] against [`PackedHeapNode`], the same node body
-//!   instantiated over the frozen heap, asserting bit-identical completion
-//!   streams and interval statistics;
+//!   (infinities, negative zero, huge/tiny magnitudes);
 //! * a small-population arm whose size hovers in `0..=2·FLAT_MAX`, the
 //!   regime of a Juno node's completions, crossing the calendar's
 //!   flat-mode hand-offs;
-//! * a parallel [`ThinkPool`] differential against the frozen
-//!   [`HeapThinkPool`], covering `retire_latest` population shrinks.
+//! * a parallel [`ThinkPool`] differential against the scan oracle
+//!   [`ReferenceThinkPool`], covering `retire_latest` population shrinks.
 //!
-//! This is the PR 6 counterpart of `dispatch_equivalence.rs` (PR 5 bitmap
-//! free lists vs heap node) and `node_equivalence.rs` (production node vs
-//! pre-PR3 scans).
+//! The whole-node differential (the queue inside [`ServiceNode`], raced
+//! against the scan node) is `node_equivalence.rs`.
+//!
+//! [`ServiceNode`]: hipster_sim::ServiceNode
 
-use hipster_platform::{CoreKind, Frequency};
-use hipster_sim::reference::{HeapThinkPool, PackedHeap, PackedHeapNode};
-use hipster_sim::{CalendarQueue, CompletionQueue, Demand, ServerSpec, ServiceNode, ThinkPool};
+use hipster_sim::reference::ReferenceThinkPool;
+use hipster_sim::{CalendarQueue, ThinkPool};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
-// Raw-queue differential: CalendarQueue vs frozen PackedHeap.
+// The oracle: a sorted `Vec` of `(time, payload)` entries.
+// ---------------------------------------------------------------------------
+
+/// The completion-queue oracle: entries kept sorted *descending* by
+/// (`total_cmp` time, payload), so the minimum is the last element and
+/// every pop is a `Vec::pop` — O(n) per push, obviously correct.
+#[derive(Debug, Default)]
+struct SortedVec {
+    desc: Vec<(f64, usize)>,
+}
+
+impl SortedVec {
+    fn cmp(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    }
+
+    fn len(&self) -> usize {
+        self.desc.len()
+    }
+
+    fn push(&mut self, t: f64, payload: usize) {
+        let e = (t, payload);
+        let at = self
+            .desc
+            .partition_point(|x| Self::cmp(x, &e) == std::cmp::Ordering::Greater);
+        self.desc.insert(at, e);
+    }
+
+    fn peek_min_time(&self) -> Option<f64> {
+        self.desc.last().map(|e| e.0)
+    }
+
+    /// Pops the minimum if its time is ≤ `to` under `f64` `>` semantics
+    /// (a NaN minimum never compares later).
+    fn pop_if_le(&mut self, to: f64) -> Option<(f64, usize)> {
+        let &(t, _) = self.desc.last()?;
+        if t > to {
+            return None;
+        }
+        self.desc.pop()
+    }
+
+    fn drain_unordered(&mut self, out: &mut Vec<(f64, usize)>) {
+        out.clear();
+        out.append(&mut self.desc);
+    }
+
+    fn rebuild_from(&mut self, scratch: &mut Vec<(f64, usize)>) {
+        self.desc.clear();
+        self.desc.append(scratch);
+        self.desc.sort_by(|a, b| Self::cmp(b, a));
+    }
+}
+
+/// Pops both queues with bound `to`, asserting bit-identical results.
+fn pop_both(
+    cal: &mut CalendarQueue,
+    oracle: &mut SortedVec,
+    to: f64,
+    what: &str,
+) -> Option<(f64, usize)> {
+    let a = cal.pop_if_le(to);
+    let b = oracle.pop_if_le(to);
+    assert_eq!(
+        a.map(|(t, s)| (t.to_bits(), s)),
+        b.map(|(t, s)| (t.to_bits(), s)),
+        "{what} diverged at to={to}"
+    );
+    a
+}
+
+/// Asserts identical lengths and minimum times.
+fn assert_same_state(cal: &CalendarQueue, oracle: &SortedVec) {
+    assert_eq!(cal.len(), oracle.len(), "len diverged");
+    assert_eq!(
+        cal.peek_min_time().map(f64::to_bits),
+        oracle.peek_min_time().map(f64::to_bits),
+        "peek diverged"
+    );
+}
+
+/// Drains both queues to the end, asserting identical pop sequences.
+fn drain_both(cal: &mut CalendarQueue, oracle: &mut SortedVec) {
+    while pop_both(cal, oracle, f64::INFINITY, "final drain").is_some() {}
+}
+
+/// DVFS-style re-key of both queues: drain each (unspecified order),
+/// check the drained multisets agree, rescale every time about `now` by
+/// `factor`, rebuild both from the identical rescaled input — exactly
+/// the node's DVFS rescale shape.
+fn rescale_both(
+    cal: &mut CalendarQueue,
+    oracle: &mut SortedVec,
+    now: f64,
+    factor: f64,
+    scratch: &mut (Vec<(f64, usize)>, Vec<(f64, usize)>),
+) {
+    let (a, b) = scratch;
+    cal.drain_unordered(a);
+    oracle.drain_unordered(b);
+    a.sort_by(SortedVec::cmp);
+    b.sort_by(SortedVec::cmp);
+    let bits = |v: &Vec<(f64, usize)>| v.iter().map(|&(t, s)| (t.to_bits(), s)).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "drained multisets diverged");
+    for e in a.iter_mut() {
+        e.0 = now + (e.0 - now) * factor;
+    }
+    b.clear();
+    b.extend_from_slice(a);
+    cal.rebuild_from_unpacked(a);
+    oracle.rebuild_from(b);
+}
+
+// ---------------------------------------------------------------------------
+// Raw-queue differential: CalendarQueue vs the sorted-Vec oracle.
 // ---------------------------------------------------------------------------
 
 /// One step of the raw-queue driving sequence. Times are generated
@@ -95,54 +205,44 @@ const WEIRD: [f64; 8] = [
     4e9,
 ];
 
-/// Applies `ops` to both queues in lock-step, asserting identical pops,
-/// peeks and lengths after every step, then drains both to the end.
+/// Applies `ops` to the queue and the oracle in lock-step, asserting
+/// identical pops, peeks and lengths after every step, then drains both
+/// to the end.
 fn run_queue_differential(ops: &[QOp]) {
     let mut cal = CalendarQueue::new();
-    let mut heap = PackedHeap::new();
+    let mut oracle = SortedVec::default();
     let mut now = 0.0f64;
     let mut payload = 0usize;
-    let mut scratch_a: Vec<(f64, usize)> = Vec::new();
-    let mut scratch_b: Vec<(f64, usize)> = Vec::new();
+    let mut scratch = (Vec::new(), Vec::new());
 
-    let push_both = |cal: &mut CalendarQueue, heap: &mut PackedHeap, t: f64, p: &mut usize| {
-        cal.push(t, *p);
-        heap.push(t, *p);
-        *p += 1;
+    let mut push_both = |cal: &mut CalendarQueue, oracle: &mut SortedVec, t: f64| {
+        cal.push(t, payload);
+        oracle.push(t, payload);
+        payload += 1;
     };
 
     for op in ops {
         match *op {
-            QOp::Push { dt } => push_both(&mut cal, &mut heap, now + dt, &mut payload),
+            QOp::Push { dt } => push_both(&mut cal, &mut oracle, now + dt),
             QOp::PushTies { dt, count } => {
-                let t = now + dt;
                 for _ in 0..count {
-                    push_both(&mut cal, &mut heap, t, &mut payload);
+                    push_both(&mut cal, &mut oracle, now + dt);
                 }
             }
-            QOp::PushFar { mult } => {
-                push_both(&mut cal, &mut heap, now + mult * 1e6, &mut payload);
-            }
+            QOp::PushFar { mult } => push_both(&mut cal, &mut oracle, now + mult * 1e6),
             QOp::Burst { gap, spread, count } => {
                 let start = now + gap;
                 for i in 0..count {
                     let t = start + spread * (i as f64 / count as f64);
-                    push_both(&mut cal, &mut heap, t, &mut payload);
+                    push_both(&mut cal, &mut oracle, t);
                 }
             }
             QOp::PushWeird { pick } => {
-                push_both(&mut cal, &mut heap, WEIRD[pick % WEIRD.len()], &mut payload);
+                push_both(&mut cal, &mut oracle, WEIRD[pick % WEIRD.len()]);
             }
             QOp::PopSome { k } => {
                 for _ in 0..k {
-                    let a = cal.pop_if_le(f64::INFINITY);
-                    let b = heap.pop_if_le(f64::INFINITY);
-                    assert_eq!(
-                        a.map(|(t, s)| (t.to_bits(), s)),
-                        b.map(|(t, s)| (t.to_bits(), s)),
-                        "unbounded pop diverged"
-                    );
-                    match a {
+                    match pop_both(&mut cal, &mut oracle, f64::INFINITY, "unbounded pop") {
                         Some((t, _)) => now = now.max(t.min(1e250)),
                         None => break,
                     }
@@ -150,73 +250,21 @@ fn run_queue_differential(ops: &[QOp]) {
             }
             QOp::PopDue { dt } => {
                 let to = now + dt;
-                loop {
-                    let a = cal.pop_if_le(to);
-                    let b = heap.pop_if_le(to);
-                    assert_eq!(
-                        a.map(|(t, s)| (t.to_bits(), s)),
-                        b.map(|(t, s)| (t.to_bits(), s)),
-                        "bounded pop diverged at to={to}"
-                    );
-                    if a.is_none() {
-                        break;
-                    }
-                }
+                while pop_both(&mut cal, &mut oracle, to, "bounded pop").is_some() {}
                 now = to;
             }
             QOp::Rescale { factor } => {
-                // Drain both (unspecified order), canonicalise to one
-                // scratch, re-key, rebuild both from identical input —
-                // exactly the node's DVFS rescale shape.
-                cal.drain_unordered(&mut scratch_a);
-                CompletionQueue::drain_unordered(&mut heap, &mut scratch_b);
-                scratch_a.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                scratch_b.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                assert_eq!(
-                    scratch_a
-                        .iter()
-                        .map(|&(t, s)| (t.to_bits(), s))
-                        .collect::<Vec<_>>(),
-                    scratch_b
-                        .iter()
-                        .map(|&(t, s)| (t.to_bits(), s))
-                        .collect::<Vec<_>>(),
-                    "drained multisets diverged"
-                );
-                for e in &mut scratch_a {
-                    e.0 = now + (e.0 - now) * factor;
-                }
-                scratch_b.clear();
-                scratch_b.extend_from_slice(&scratch_a);
-                cal.rebuild_from_unpacked(&mut scratch_a);
-                CompletionQueue::rebuild_from(&mut heap, &mut scratch_b);
+                rescale_both(&mut cal, &mut oracle, now, factor, &mut scratch);
             }
         }
-        assert_eq!(cal.len(), heap.len(), "len diverged");
-        assert_eq!(
-            cal.peek_min_time().map(f64::to_bits),
-            heap.peek_finish().map(f64::to_bits),
-            "peek diverged"
-        );
+        assert_same_state(&cal, &oracle);
     }
-    // Full drain: every remaining event must pop in the same order.
-    loop {
-        let a = cal.pop_if_le(f64::INFINITY);
-        let b = heap.pop_if_le(f64::INFINITY);
-        assert_eq!(
-            a.map(|(t, s)| (t.to_bits(), s)),
-            b.map(|(t, s)| (t.to_bits(), s)),
-            "final drain diverged"
-        );
-        if a.is_none() {
-            break;
-        }
-    }
+    drain_both(&mut cal, &mut oracle);
 }
 
 // ---------------------------------------------------------------------------
 // Small-population differential: the calendar's flat mode and its hand-offs
-// to and from the ring, against the same frozen heap.
+// to and from the ring, against the same oracle.
 // ---------------------------------------------------------------------------
 
 /// The calendar's flat-mode population limit (one bucket's slab slots).
@@ -249,68 +297,36 @@ fn hop_strategy() -> impl Strategy<Value = HOp> {
 /// the hand-off between them, asserting identical pops and peeks.
 fn run_hover_differential(ops: &[HOp]) {
     let mut cal = CalendarQueue::new();
-    let mut heap = PackedHeap::new();
+    let mut oracle = SortedVec::default();
     let mut now = 0.0f64;
     let mut payload = 0usize;
-    let mut scratch_a: Vec<(f64, usize)> = Vec::new();
-    let mut scratch_b: Vec<(f64, usize)> = Vec::new();
+    let mut scratch = (Vec::new(), Vec::new());
     for op in ops {
         match *op {
             HOp::Push { dt } => {
                 if cal.len() < 2 * FLAT_MAX {
                     cal.push(now + dt, payload);
-                    heap.push(now + dt, payload);
+                    oracle.push(now + dt, payload);
                     payload += 1;
                 }
             }
             HOp::Pop => {
-                let a = cal.pop_if_le(f64::INFINITY);
-                let b = heap.pop_if_le(f64::INFINITY);
-                assert_eq!(
-                    a.map(|(t, s)| (t.to_bits(), s)),
-                    b.map(|(t, s)| (t.to_bits(), s)),
-                    "hovering pop diverged"
-                );
-                if let Some((t, _)) = a {
+                if let Some((t, _)) = pop_both(&mut cal, &mut oracle, f64::INFINITY, "hovering pop")
+                {
                     now = now.max(t);
                 }
             }
             HOp::Rescale { factor } => {
-                cal.drain_unordered(&mut scratch_a);
-                scratch_a.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                for e in &mut scratch_a {
-                    e.0 = now + (e.0 - now) * factor;
-                }
-                CompletionQueue::drain_unordered(&mut heap, &mut scratch_b);
-                scratch_b.clear();
-                scratch_b.extend_from_slice(&scratch_a);
-                cal.rebuild_from_unpacked(&mut scratch_a);
-                CompletionQueue::rebuild_from(&mut heap, &mut scratch_b);
+                rescale_both(&mut cal, &mut oracle, now, factor, &mut scratch);
             }
         }
-        assert_eq!(cal.len(), heap.len(), "len diverged");
-        assert_eq!(
-            cal.peek_min_time().map(f64::to_bits),
-            heap.peek_finish().map(f64::to_bits),
-            "peek diverged"
-        );
+        assert_same_state(&cal, &oracle);
     }
-    loop {
-        let a = cal.pop_if_le(f64::INFINITY);
-        let b = heap.pop_if_le(f64::INFINITY);
-        assert_eq!(
-            a.map(|(t, s)| (t.to_bits(), s)),
-            b.map(|(t, s)| (t.to_bits(), s)),
-            "final drain diverged"
-        );
-        if a.is_none() {
-            break;
-        }
-    }
+    drain_both(&mut cal, &mut oracle);
 }
 
 // ---------------------------------------------------------------------------
-// ThinkPool differential: calendar pool vs frozen binary-heap pool.
+// ThinkPool differential: calendar pool vs the scan pool.
 // ---------------------------------------------------------------------------
 
 /// One step of the thinking-pool driving sequence.
@@ -339,24 +355,24 @@ fn pop_strategy() -> impl Strategy<Value = POp> {
 
 fn run_pool_differential(ops: &[POp]) {
     let mut cal = ThinkPool::new();
-    let mut heap = HeapThinkPool::new();
+    let mut scan = ReferenceThinkPool::new();
     let mut now = 0.0f64;
     for op in ops {
         match *op {
             POp::Push { dt } => {
                 cal.push(now + dt);
-                heap.push(now + dt);
+                scan.push(now + dt);
             }
             POp::PushTies { dt, count } => {
                 for _ in 0..count {
                     cal.push(now + dt);
-                    heap.push(now + dt);
+                    scan.push(now + dt);
                 }
             }
             POp::PopSome { k } => {
                 for _ in 0..k {
                     let a = cal.pop_min();
-                    let b = heap.pop_min();
+                    let b = scan.pop_min();
                     assert_eq!(
                         a.map(f64::to_bits),
                         b.map(f64::to_bits),
@@ -370,19 +386,19 @@ fn run_pool_differential(ops: &[POp]) {
             }
             POp::RetireLatest { k } => {
                 cal.retire_latest(k);
-                heap.retire_latest(k);
+                scan.retire_latest(k);
             }
         }
-        assert_eq!(cal.len(), heap.len(), "pool len diverged");
+        assert_eq!(cal.len(), scan.len(), "pool len diverged");
         assert_eq!(
             cal.peek_min().map(f64::to_bits),
-            heap.peek_min().map(f64::to_bits),
+            scan.peek_min().map(f64::to_bits),
             "pool peek diverged"
         );
     }
     loop {
         let a = cal.pop_min();
-        let b = heap.pop_min();
+        let b = scan.pop_min();
         assert_eq!(
             a.map(f64::to_bits),
             b.map(f64::to_bits),
@@ -394,194 +410,27 @@ fn run_pool_differential(ops: &[POp]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Whole-node differential: ServiceNode (calendar) vs PackedHeapNode
-// (frozen PR 5 heap) under arrival / preempt / stall / DVFS / timeout
-// interleavings — the same op language as dispatch_equivalence.rs, with
-// the oracle swapped to the node whose *only* difference is the queue.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Op {
-    Arrive { dt: f64, work: f64, mem: f64 },
-    Advance { dt: f64 },
-    Remap { n: usize, mix_seed: u64, stall: f64 },
-    Rescale { factor: f64, stall: f64 },
-    Interval,
-}
-
-fn specs_for(n: usize, mix_seed: u64) -> Vec<ServerSpec> {
-    (0..n)
-        .map(|i| {
-            let speed = match (mix_seed as usize + i) % 5 {
-                0 | 1 => 2.0,
-                2 => 0.8,
-                3 => 4.0,
-                _ => 2.0,
-            };
-            ServerSpec {
-                kind: if speed >= 2.0 {
-                    CoreKind::Big
-                } else {
-                    CoreKind::Small
-                },
-                freq: Frequency::from_mhz(1000),
-                speed,
-                slowdown: 1.0 + ((mix_seed as usize + i) % 3) as f64 * 0.5,
-            }
-        })
-        .collect()
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
-            dt,
-            work,
-            mem
-        }),
-        (0.0f64..1.0).prop_map(|dt| Op::Advance { dt }),
-        (1usize..9, 0u64..10, 0.0f64..0.3).prop_map(|(n, mix_seed, stall)| Op::Remap {
-            n,
-            mix_seed,
-            stall
-        }),
-        (0.5f64..2.0, 0.0f64..0.1).prop_map(|(factor, stall)| Op::Rescale { factor, stall }),
-        Just(Op::Interval),
-    ]
-}
-
-fn run_node_differential(ops: &[Op], timeout: Option<f64>) {
-    let mut cal = ServiceNode::new();
-    let mut heap = PackedHeapNode::new();
-    cal.set_timeout(timeout);
-    heap.set_timeout(timeout);
-    let initial = specs_for(3, 1);
-    let mut current_specs = initial.clone();
-    cal.reconfigure(0.0, &initial, true, 0.0);
-    heap.reconfigure(0.0, &initial, true, 0.0);
-    cal.begin_interval(0.0);
-    heap.begin_interval(0.0);
-
-    let mut now = 0.0f64;
-    let mut interval_start = 0.0f64;
-    let mut kick_at: Option<f64> = None;
-    let mut cal_done = Vec::new();
-    let mut heap_done = Vec::new();
-    let deliver_kick =
-        |cal: &mut ServiceNode, heap: &mut PackedHeapNode, kick_at: &mut Option<f64>, t: f64| {
-            if let Some(k) = *kick_at {
-                if k <= t {
-                    cal.kick(k);
-                    heap.kick(k);
-                    *kick_at = None;
-                }
-            }
-        };
-    for op in ops {
-        match *op {
-            Op::Arrive { dt, work, mem } => {
-                now += dt;
-                deliver_kick(&mut cal, &mut heap, &mut kick_at, now);
-                cal_done.clear();
-                heap_done.clear();
-                cal.advance_collect(now, &mut cal_done);
-                heap.advance_collect(now, &mut heap_done);
-                assert_eq!(cal_done, heap_done, "completion streams diverged");
-                let d = Demand::new(work, mem);
-                cal.arrive(now, d);
-                heap.arrive(now, d);
-            }
-            Op::Advance { dt } => {
-                now += dt;
-                deliver_kick(&mut cal, &mut heap, &mut kick_at, now);
-                cal_done.clear();
-                heap_done.clear();
-                cal.advance_collect(now, &mut cal_done);
-                heap.advance_collect(now, &mut heap_done);
-                assert_eq!(cal_done, heap_done, "completion streams diverged");
-            }
-            Op::Remap { n, mix_seed, stall } => {
-                current_specs = specs_for(n, mix_seed);
-                cal.reconfigure(now, &current_specs, true, stall);
-                heap.reconfigure(now, &current_specs, true, stall);
-                kick_at = if stall > 0.0 { Some(now + stall) } else { None };
-            }
-            Op::Rescale { factor, stall } => {
-                for s in &mut current_specs {
-                    s.speed *= factor;
-                }
-                cal.reconfigure(now, &current_specs, false, stall);
-                heap.reconfigure(now, &current_specs, false, stall);
-                kick_at = if stall > 0.0 { Some(now + stall) } else { None };
-            }
-            Op::Interval => {
-                now = now.max(interval_start + 1e-6);
-                deliver_kick(&mut cal, &mut heap, &mut kick_at, now);
-                let a = cal.end_interval(now, 0.95);
-                let b = heap.end_interval(now, 0.95);
-                assert_eq!(a, b, "interval stats diverged");
-                interval_start = now;
-                cal.begin_interval(now);
-                heap.begin_interval(now);
-            }
-        }
-        assert_eq!(cal.queue_len(), heap.queue_len(), "queue len diverged");
-        assert_eq!(cal.in_flight(), heap.in_flight(), "in-flight diverged");
-        assert_eq!(
-            cal.next_completion(),
-            heap.next_completion(),
-            "next completion diverged"
-        );
-        assert_eq!(cal.total_completed(), heap.total_completed());
-    }
-    now += 1000.0;
-    deliver_kick(&mut cal, &mut heap, &mut kick_at, now);
-    cal_done.clear();
-    heap_done.clear();
-    cal.advance_collect(now, &mut cal_done);
-    heap.advance_collect(now, &mut heap_done);
-    assert_eq!(cal_done, heap_done, "drain streams diverged");
-    let a = cal.end_interval(now, 0.95);
-    let b = heap.end_interval(now, 0.95);
-    assert_eq!(a, b, "final interval stats diverged");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn calendar_queue_matches_packed_heap(
+    fn calendar_queue_matches_sorted_vec(
         ops in prop::collection::vec(qop_strategy(), 1..300),
     ) {
         run_queue_differential(&ops);
     }
 
     #[test]
-    fn calendar_small_population_matches_packed_heap(
+    fn calendar_small_population_matches_sorted_vec(
         ops in prop::collection::vec(hop_strategy(), 1..400),
     ) {
         run_hover_differential(&ops);
     }
 
     #[test]
-    fn calendar_pool_matches_heap_pool(
+    fn calendar_pool_matches_scan_pool(
         ops in prop::collection::vec(pop_strategy(), 1..300),
     ) {
         run_pool_differential(&ops);
-    }
-
-    #[test]
-    fn calendar_node_matches_packed_heap_node(
-        ops in prop::collection::vec(op_strategy(), 1..250),
-    ) {
-        run_node_differential(&ops, None);
-    }
-
-    #[test]
-    fn calendar_node_matches_packed_heap_node_with_timeouts(
-        ops in prop::collection::vec(op_strategy(), 1..250),
-    ) {
-        run_node_differential(&ops, Some(0.75));
     }
 }

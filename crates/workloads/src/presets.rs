@@ -3,7 +3,7 @@
 //! | App | Max load | Target tail latency |
 //! |---|---|---|
 //! | Memcached (Twitter caching server, 1.3 GB) | 36 000 RPS | 10 ms (95th pct) |
-//! | Web-Search (English Wikipedia, Zipfian) | 44 QPS | 500 ms (90th pct) |
+//! | Web-Search (English Wikipedia, power-law) | 44 QPS | 500 ms (90th pct) |
 //!
 //! Both calibrations satisfy Table 1's defining property: the maximum load
 //! is the highest the platform sustains *within the tail target on the two
@@ -245,13 +245,13 @@ pub fn memcached_bursty() -> LcWorkload {
 }
 
 /// The Web-Search model (Table 1 row 2): an Elasticsearch-style engine over
-/// English Wikipedia with Zipfian term popularity.
+/// English Wikipedia with power-law term popularity.
 ///
 /// Calibration notes:
 /// * mean service ≈ 40 ms on a big core at 1.15 GHz (32 ms compute + 8 ms
 ///   memory) — two big cores sustain 44 QPS at ρ ≈ 0.88, where queueing
 ///   pushes the 90th percentile toward the 500 ms target at full load
-///   (σ = 0.6 demand variability from the Zipfian corpus);
+///   (σ = 0.6 demand variability from the power-law corpus);
 /// * queries are compute-intensive and single-threaded (§4.1), so small
 ///   cores pay a full 3.0× IPC penalty — four of them cover only ≈50% of
 ///   max load, matching Fig. 2b's earlier escape to big cores;
