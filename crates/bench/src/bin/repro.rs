@@ -5,15 +5,19 @@
 //! repro table2 fig2    # selected experiments
 //! repro all --quick    # 4× shorter runs for a fast smoke pass
 //! repro cluster        # beyond-paper 16-1024-node cluster sweep
-//! repro faults         # fault injection + mitigation ablation → BENCH_PR8.json,
-//!                      # plus zone-wave cells (hedging + admission ladder)
-//!                      # → BENCH_PR10.json + waves_summary.csv
+//! repro faults         # fault injection + mitigation ablation, plus zone-wave
+//!                      # cells (hedging + admission ladder) → the faults rows
+//!                      # of BENCH.jsonl + waves_summary.csv
 //! repro cluster --store d      # journal each cell to d/ as it finishes
 //! repro cluster --store d --resume   # skip cells d/ already holds
-//! repro bench          # perf baselines → BENCH_PR{3,4,5,6,7}.json
+//! repro bench          # perf floors → the node/control/cluster rows of BENCH.jsonl
 //! repro bench --smoke  # same cells, seconds (CI)
 //! repro bench --smoke --only open/   # just the cells matching a prefix
+//! repro bench --check BENCH.jsonl    # every floor met, every required row present
 //! ```
+//!
+//! `bench` and `faults` merge their rows into `BENCH.jsonl` in the
+//! current directory; see `hipster_bench::floors` for the schema.
 
 use hipster_bench::experiments as exp;
 
@@ -38,9 +42,11 @@ fn usage() -> ! {
         "usage: repro [--quick] <experiment>...\n       repro [--quick] all\n       \
          repro [--quick] cluster [--store <dir>] [--resume]\n       \
          repro [--quick] faults [--store <dir>] [--resume]\n       \
-         repro bench [--smoke] [--only <cell-prefix>]\n\n\
+         repro bench [--smoke] [--only <cell-prefix>]\n       \
+         repro bench --check <file>\n\n\
          --store <dir>  journal every finished sweep cell to <dir> (fsync'd)\n\
-         --resume       skip cells already in the store (requires --store)\n\n\
+         --resume       skip cells already in the store (requires --store)\n\
+         --check <file> check a BENCH.jsonl: every floor met, every required row present\n\n\
          experiments: {} cluster faults bench",
         EXPERIMENTS
             .iter()
@@ -82,11 +88,23 @@ fn main() {
         usage();
     }
     let store_value_idx = store_flag_idx.map(|i| i + 1);
+    // `--check <file>` makes `bench` check a results file instead of
+    // running.
+    let check_flag_idx = args.iter().position(|a| a == "--check");
+    let check: Option<&str> = check_flag_idx.map(|i| match args.get(i + 1) {
+        Some(p) if !p.starts_with('-') => p.as_str(),
+        _ => {
+            eprintln!("--check requires a file path");
+            usage();
+        }
+    });
+    let check_value_idx = check_flag_idx.map(|i| i + 1);
     let selected: Vec<&str> = args
         .iter()
         .enumerate()
         .filter(|(i, a)| {
-            !a.starts_with('-') && Some(*i) != only_value_idx && Some(*i) != store_value_idx
+            !a.starts_with('-')
+                && ![only_value_idx, store_value_idx, check_value_idx].contains(&Some(*i))
         })
         .map(|(_, a)| a.as_str())
         .collect();
@@ -99,6 +117,24 @@ fn main() {
     // reproduces the paper's tables/figures.
     let run_all = selected.contains(&"all");
     let mut matched = false;
+    if let Some(path) = check {
+        if selected != ["bench"] {
+            eprintln!("--check goes with `bench` alone");
+            usage();
+        }
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
+            std::process::exit(1);
+        });
+        match hipster_bench::floors::check(&text) {
+            Ok(rows) => println!("ok: {path}: {rows} rows, every floor met"),
+            Err(failures) => {
+                eprintln!("{path}: floor check failed:\n{failures}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     if selected.contains(&"bench") {
         matched = true;
         let start = std::time::Instant::now();

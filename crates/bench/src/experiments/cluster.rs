@@ -13,7 +13,7 @@
 //! single-machine Table 2 energy/QoS trade-off to fleet scale. The grid
 //! itself runs through the work-stealing task scheduler
 //! ([`run_tasks`]), whose wall-clock/throughput stats are printed per
-//! sweep (and recorded in `BENCH_PR7.json`'s cluster-sweep cells).
+//! sweep.
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -292,7 +292,7 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
          big-cluster characterization; Hipster trades some of that power for \
          QoS-aware small-core intervals, and the overflow tier converts bursts \
          the private tier cannot absorb into dollars instead of violations. \
-         Dispatch cost is O(1) in node count (see BENCH_PR7.json)."
+         Dispatch cost is O(1) in node count (see the cluster rows of BENCH.jsonl)."
     );
 
     if let Some(dir) = store_dir {

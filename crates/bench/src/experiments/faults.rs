@@ -18,9 +18,10 @@
 //! backlog re-dispatched with capped retries + exponential backoff,
 //! watermark overflow doubling as graceful degradation) vs mitigation
 //! **off** (the dispatcher keeps feeding dead and straggling nodes).
-//! Both matrices land in `BENCH_PR8.json`; full runs enforce the
-//! recovery floor — mitigation-on must beat mitigation-off on
-//! QoS-guarantee fraction under both fault presets at equal load.
+//! Both presets record their ablation as `faults` rows of `BENCH.jsonl`
+//! (see [`crate::floors`]): at equal load, mitigation-on must
+//! beat mitigation-off on QoS-guarantee fraction and mean p99, and drop
+//! no work.
 //!
 //! A third, *wave* table (PR 10) escalates to correlated failure
 //! domains: the `memcached-zonewave` preset arms zone-scale revocation
@@ -29,10 +30,13 @@
 //! full tail-tolerance stack — domain-aware dispatch steering, hedged
 //! requests ([`HedgeSpec`]), and an admission ladder ([`AdmissionSpec`])
 //! that sheds the collocated SPEC batch before deferring best-effort
-//! arrivals. The ablation lands in `BENCH_PR10.json` (plus
-//! `waves_summary.csv`, one [`ClusterSummary`] row per arm); full runs
-//! enforce that mitigation-on beats mitigation-off on **both** QoS and
-//! mean p99 under the wave preset.
+//! arrivals. Its rows require mitigation-on to beat mitigation-off on
+//! **both** QoS and mean p99 under the wave preset, with hedging firing;
+//! `waves_summary.csv` holds one [`ClusterSummary`] row per arm.
+//!
+//! Every run also asserts that the fault pressure is real: revocations
+//! and straggles strike their presets, the mitigation-off arm never
+//! hedges, and every percentage lies in [0, 100].
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -47,6 +51,7 @@ use hipster_workloads::{domain_fault_preset, fault_preset, preset, MmppLoad};
 use crate::experiments::cluster::{
     journal_cell, open_journal, restore, SweepCell, USD_PER_REQ_S, WATERMARK,
 };
+use crate::floors::{self, round, Row, Run};
 use crate::runner::{
     heuristic_mapper, hipster_in, scenario, static_all_big, static_all_small, PolicyFn, Workload,
 };
@@ -273,94 +278,43 @@ impl NodeCell {
     }
 }
 
-#[derive(Debug)]
-struct RecoveryCell {
-    name: String,
-    preset: &'static str,
-    nodes: usize,
-    on: ClusterSummary,
-    off: ClusterSummary,
+/// The batch deadline-miss percentage of a wave arm.
+fn miss(s: &ClusterSummary) -> f64 {
+    s.deadline_miss_pct
+        .expect("wave cells always declare a batch deadline")
 }
 
-impl RecoveryCell {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"preset\":\"{}\",\"nodes\":{},",
-                "\"qos_on_pct\":{:.2},\"qos_off_pct\":{:.2},",
-                "\"p99_on_ms\":{:.3},\"p99_off_ms\":{:.3},",
-                "\"retried_quanta\":{},\"dropped_quanta\":{},",
-                "\"revoked_node_intervals\":{},\"straggling_node_intervals\":{},",
-                "\"spill_on_frac\":{:.4},\"spill_off_frac\":{:.4}}}"
-            ),
-            self.name,
-            self.preset,
-            self.nodes,
-            self.on.qos_guarantee_pct,
-            self.off.qos_guarantee_pct,
-            self.on.mean_p99_s * 1e3,
-            self.off.mean_p99_s * 1e3,
-            self.on.retried_quanta,
-            self.on.dropped_quanta,
-            self.on.revoked_node_intervals,
-            self.on.straggling_node_intervals,
-            self.on.spill_frac,
-            self.off.spill_frac,
-        )
-    }
+/// A `faults` row of the ablation on `workload`.
+fn faults_row(workload: &str, metric: &str) -> Row {
+    Row::new(
+        "faults",
+        workload,
+        &format!("n{FAULT_CLUSTER_NODES}"),
+        metric,
+    )
 }
 
-#[derive(Debug)]
-struct WaveCell {
-    name: String,
-    preset: &'static str,
-    nodes: usize,
-    zones: usize,
-    on: ClusterSummary,
-    off: ClusterSummary,
-}
-
-impl WaveCell {
-    fn miss(s: &ClusterSummary) -> f64 {
-        s.deadline_miss_pct
-            .expect("wave cells always declare a batch deadline")
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"preset\":\"{}\",\"nodes\":{},\"zones\":{},",
-                "\"qos_on_pct\":{:.2},\"qos_off_pct\":{:.2},",
-                "\"p99_on_ms\":{:.3},\"p99_off_ms\":{:.3},",
-                "\"hedged_on\":{},\"hedged_off\":{},",
-                "\"deferred_on\":{},\"shed_intervals_on\":{},",
-                "\"deadline_miss_on_pct\":{:.2},\"deadline_miss_off_pct\":{:.2},",
-                "\"revoked_node_intervals\":{},\"straggling_node_intervals\":{},",
-                "\"spill_on_frac\":{:.4},\"spill_off_frac\":{:.4},",
-                "\"cloud_usd_on\":{:.4},\"cloud_usd_off\":{:.4}}}"
-            ),
-            self.name,
-            self.preset,
-            self.nodes,
-            self.zones,
-            self.on.qos_guarantee_pct,
-            self.off.qos_guarantee_pct,
-            self.on.mean_p99_s * 1e3,
-            self.off.mean_p99_s * 1e3,
-            self.on.hedged_requests,
-            self.off.hedged_requests,
-            self.on.deferred_quanta,
-            self.on.shed_intervals,
-            WaveCell::miss(&self.on),
-            WaveCell::miss(&self.off),
-            self.on.revoked_node_intervals,
-            self.on.straggling_node_intervals,
-            self.on.spill_frac,
-            self.off.spill_frac,
-            self.on.total_cloud_usd,
-            self.off.total_cloud_usd,
-        )
-    }
+/// The rows every ablation records on `workload`: the mitigation-on
+/// arm's QoS-guarantee % and mean p99 against the off arm's.
+fn ablation_rows(rows: &mut Run, workload: &str, on: &ClusterSummary, off: &ClusterSummary) {
+    let (qos_on, qos_off) = (
+        round(on.qos_guarantee_pct, 2),
+        round(off.qos_guarantee_pct, 2),
+    );
+    rows.push(
+        faults_row(workload, "qos_pct")
+            .higher(qos_on, qos_off)
+            .oracle(qos_off),
+    );
+    let (p99_on, p99_off) = (
+        round(on.mean_p99_s * 1e3, 3),
+        round(off.mean_p99_s * 1e3, 3),
+    );
+    rows.push(
+        faults_row(workload, "mean_p99_ms")
+            .lower(p99_on, p99_off)
+            .oracle(p99_off),
+    );
 }
 
 fn mean_tail_s(trace: &hipster_sim::Trace) -> f64 {
@@ -371,13 +325,21 @@ fn mean_tail_s(trace: &hipster_sim::Trace) -> f64 {
     ivs.iter().map(|iv| iv.tail_latency_s).sum::<f64>() / ivs.len() as f64
 }
 
-/// Runs the fault matrices, prints the tables and writes
-/// `BENCH_PR8.json` (`"smoke": true` under `--quick`).
+/// Runs the fault matrices, prints the tables, writes
+/// `waves_summary.csv` and records the `faults` rows of `BENCH.jsonl`
+/// (`"smoke": true` under `--quick`; full runs hold every row to its
+/// floor).
 ///
 /// With `store_dir` set, node cells and ablation cells are journaled as
 /// they finish; with `resume`, journaled cells are restored instead of
-/// re-run and `faults_digests.txt` (plus `BENCH_PR8.json` itself) comes
-/// out byte-identical to an uninterrupted run.
+/// re-run and `faults_digests.txt` (and the rows) come out byte-identical
+/// to an uninterrupted run.
+///
+/// # Panics
+///
+/// When a fault preset stops striking (no revoked or straggling
+/// node-intervals), the mitigation-off arm hedges, a percentage leaves
+/// [0, 100], or — on full runs — a row misses its floor.
 pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
     println!("== Faults: revocations + stragglers, node policies and cluster mitigation ==\n");
     let node_secs = if quick { 15 } else { 60 };
@@ -445,6 +407,30 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
         }
     }
     node_table.print();
+    let want: Vec<String> = FAULT_PRESETS
+        .iter()
+        .flat_map(|p| {
+            ["HipsterIn", "Heuristic", "Static-Big", "Static-Small"]
+                .map(|pol| format!("faults/node/{p}/{pol}"))
+        })
+        .collect();
+    let names: Vec<&str> = node_cells.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, want, "node cells");
+    for c in &node_cells {
+        assert!(
+            (0.0..=100.0).contains(&c.qos_clean_pct) && (0.0..=100.0).contains(&c.qos_fault_pct),
+            "{}: QoS {} / {} outside [0, 100]",
+            c.name,
+            c.qos_clean_pct,
+            c.qos_fault_pct
+        );
+        assert!(
+            c.tail_blowup > 0.0,
+            "{}: tail blowup {}",
+            c.name,
+            c.tail_blowup
+        );
+    }
 
     // --- Cluster level: the mitigation ablation.
     println!(
@@ -462,7 +448,7 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
         "revoked nv",
         "straggle nv",
     ]);
-    let mut recovery_cells: Vec<RecoveryCell> = Vec::new();
+    let mut rows = Run::default();
     let mut digest_rows: Vec<(String, SweepCell)> = Vec::new();
     for preset_name in FAULT_PRESETS {
         let mut cells: Vec<(String, Option<SweepCell>)> = Vec::new();
@@ -535,13 +521,37 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
                 s.straggling_node_intervals.to_string(),
             ]);
         }
-        recovery_cells.push(RecoveryCell {
-            name: format!("faults/cluster/{preset_name}"),
-            preset: preset_name,
-            nodes: FAULT_CLUSTER_NODES,
-            on,
-            off,
-        });
+        match preset_name {
+            "memcached-revocable" => assert!(
+                on.revoked_node_intervals > 0,
+                "{preset_name}: no node was revoked"
+            ),
+            _ => assert!(
+                on.straggling_node_intervals > 0,
+                "{preset_name}: no node straggled"
+            ),
+        }
+        let workload = format!("cluster/{preset_name}");
+        ablation_rows(&mut rows, &workload, &on, &off);
+        rows.push(
+            faults_row(&workload, "dropped_quanta")
+                .lower(on.dropped_quanta as f64, 1.0)
+                .oracle(off.dropped_quanta as f64),
+        );
+        if preset_name == "memcached-revocable" {
+            // Revocations must exercise the retry path; the short quick
+            // run retries nothing, so only full runs record the row.
+            let retried = faults_row(&workload, "retried_quanta");
+            if quick {
+                rows.claim(&retried);
+            } else {
+                rows.push(
+                    retried
+                        .higher(on.retried_quanta as f64, 0.0)
+                        .oracle(off.retried_quanta as f64),
+                );
+            }
+        }
     }
     cl_table.print();
 
@@ -566,7 +576,7 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
         "spill %",
         "cloud $",
     ]);
-    let mut wave_cells: Vec<WaveCell> = Vec::new();
+    let mut wave_arms: Vec<[ClusterSummary; 2]> = Vec::new();
     for preset_name in WAVE_PRESETS {
         let mut cells: Vec<(String, Option<SweepCell>)> = Vec::new();
         let mut pending: Vec<(String, bool)> = Vec::new();
@@ -629,58 +639,34 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
                 s.hedged_requests.to_string(),
                 s.deferred_quanta.to_string(),
                 s.shed_intervals.to_string(),
-                f(WaveCell::miss(s), 1),
+                f(miss(s), 1),
                 f(s.spill_frac * 100.0, 1),
                 f(s.total_cloud_usd, 4),
             ]);
         }
-        wave_cells.push(WaveCell {
-            name: format!("faults/wave/{preset_name}"),
-            preset: preset_name,
-            nodes: FAULT_CLUSTER_NODES,
-            zones: wave_topo.num_zones(),
-            on,
-            off,
-        });
+        assert!(on.revoked_node_intervals > 0, "{preset_name}: no wave hit");
+        assert_eq!(
+            off.hedged_requests, 0,
+            "{preset_name}: the exposed arm hedged"
+        );
+        for s in [&on, &off] {
+            assert!(
+                (0.0..=100.0).contains(&miss(s)),
+                "{}: deadline miss {}% outside [0, 100]",
+                s.name,
+                miss(s)
+            );
+        }
+        let workload = format!("wave/{preset_name}");
+        ablation_rows(&mut rows, &workload, &on, &off);
+        rows.push(
+            faults_row(&workload, "hedged_requests")
+                .higher(on.hedged_requests as f64, 0.0)
+                .oracle(off.hedged_requests as f64),
+        );
+        wave_arms.push([on, off]);
     }
     wave_table.print();
-
-    // Enforce the recovery floors on full runs — the committed
-    // BENCH_PR8.json must always demonstrate that the resilience layer
-    // earns its keep.
-    if !quick {
-        for cell in &recovery_cells {
-            assert!(
-                cell.on.qos_guarantee_pct > cell.off.qos_guarantee_pct,
-                "PR8 floor: mitigation-on must beat mitigation-off on QoS \
-                 under {}: {:.2}% vs {:.2}%",
-                cell.preset,
-                cell.on.qos_guarantee_pct,
-                cell.off.qos_guarantee_pct,
-            );
-        }
-        // PR10 floors: under a zone-scale fault wave the tail-tolerance
-        // stack must win on QoS *and* p99 — the committed BENCH_PR10.json
-        // always demonstrates recovery, not just different numbers.
-        for cell in &wave_cells {
-            assert!(
-                cell.on.qos_guarantee_pct > cell.off.qos_guarantee_pct,
-                "PR10 floor: mitigation-on must beat mitigation-off on QoS \
-                 under {}: {:.2}% vs {:.2}%",
-                cell.preset,
-                cell.on.qos_guarantee_pct,
-                cell.off.qos_guarantee_pct,
-            );
-            assert!(
-                cell.on.mean_p99_s < cell.off.mean_p99_s,
-                "PR10 floor: mitigation-on must beat mitigation-off on p99 \
-                 under {}: {:.3} ms vs {:.3} ms",
-                cell.preset,
-                cell.on.mean_p99_s * 1e3,
-                cell.off.mean_p99_s * 1e3,
-            );
-        }
-    }
 
     println!(
         "\nReading: with mitigation off the balancer keeps feeding revoked \
@@ -695,53 +681,13 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
          interactive tail."
     );
 
-    let node_body: Vec<String> = node_cells.iter().map(NodeCell::json).collect();
-    let rec_body: Vec<String> = recovery_cells.iter().map(RecoveryCell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster fault injection: revocations + stragglers, \
-         mitigation ablation\",\
-         \"pr\":\"PR8\",\"smoke\":{quick},\
-         \"presets\":[\"memcached-revocable\",\"memcached-straggler\"],\
-         \"cluster_nodes\":{FAULT_CLUSTER_NODES},\
-         \"node_cells\":[\n  {}\n],\
-         \"recovery_cells\":[\n  {}\n]}}\n",
-        node_body.join(",\n  "),
-        rec_body.join(",\n  ")
-    );
-    let path = "BENCH_PR8.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-
-    let wave_body: Vec<String> = wave_cells.iter().map(WaveCell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster correlated fault waves: zone/rack revocation waves, \
-         hedged requests + admission-ladder ablation\",\
-         \"pr\":\"PR10\",\"smoke\":{quick},\
-         \"presets\":[\"memcached-zonewave\"],\
-         \"cluster_nodes\":{FAULT_CLUSTER_NODES},\
-         \"zones\":{},\"racks\":{},\
-         \"wave_cells\":[\n  {}\n]}}\n",
-        wave_topo.num_zones(),
-        wave_topo.num_racks(),
-        wave_body.join(",\n  ")
-    );
-    let path = "BENCH_PR10.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-
     // Both arms of every wave cell as flat summary rows (including the
     // deadline-miss column), for offline side-by-side comparison.
     let mut csv = String::from(ClusterSummary::csv_header());
     csv.push('\n');
-    for cell in &wave_cells {
-        for s in [&cell.on, &cell.off] {
-            csv.push_str(&s.csv_row());
-            csv.push('\n');
-        }
+    for s in wave_arms.iter().flatten() {
+        csv.push_str(&s.csv_row());
+        csv.push('\n');
     }
     let path = "waves_summary.csv";
     match std::fs::write(path, &csv) {
@@ -768,6 +714,8 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
         std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         println!("  [store] wrote {}", path.display());
     }
+
+    rows.record(Path::new(floors::PATH), quick);
 }
 
 /// The fault-sweep determinism hook (same shape as

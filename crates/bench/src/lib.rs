@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod floors;
 pub mod perfbench;
 pub mod runner;
 pub mod tablefmt;

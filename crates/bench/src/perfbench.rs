@@ -1,70 +1,54 @@
-//! `repro bench` — recorded performance baselines.
+//! `repro bench` — the performance floors of `BENCH.jsonl`.
 //!
-//! Five benchmark families run back to back:
+//! Every cell races production code against its oracle on the same
+//! input, and every floor is one [`Row`] of the
+//! bench schema (see [`floors`]). Three families run:
 //!
-//! * **Event core** (`BENCH_PR3.json`) — steps canonical open- and
-//!   closed-loop scenarios at several server / client scales through the
-//!   *same* generic driver, once with the indexed [`ServiceNode`]
-//!   (+ [`ThinkPool`]) and once with the frozen pre-PR3 linear-scan
-//!   implementation ([`ReferenceNode`] + [`ReferenceThinkPool`]), and
-//!   reports events/sec and intervals/sec for both.
-//! * **Control plane + fleet scheduling** (`BENCH_PR4.json`) —
-//!   `control/qpath/*` cells drive the interval-granularity control
-//!   kernel (bucketize → Q-update → argmax → rank) through the dense
-//!   [`QTable`] and the frozen map-backed [`ReferenceQTable`] at the
-//!   paper's 3%/5%/10% bucket widths; `fleet/heatmap/*` cells run a
-//!   fig. 2/3-style (configuration × load) sweep at 64/256/1024 scenarios
-//!   through the work-stealing [`Fleet`] and a static-partition
-//!   baseline scheduler, recording wall time and per-worker idle tails.
-//! * **Node scale** (`BENCH.jsonl`) — the production [`ServiceNode`]
-//!   (+ [`ThinkPool`]) against the scan oracle on identical pre-generated
-//!   streams, reps interleaved across every cell: open-loop Memcached at
-//!   64 and 1024 servers, closed-loop Web-Search at 1024 and 4096
-//!   clients, and the 2-big + 4-small Juno node re-keyed every interval.
-//!   One flat JSON line per floor — `{layer, workload, size, metric,
-//!   value, oracle_value, floor, better, smoke}` — each enforced on full
-//!   runs: s64→s1024 and c1024→c4096 events/sec ratios ≤1.3, and
+//! * **Control plane** (`control/qpath/b3|b5|b10`) — the interval
+//!   control kernel (bucketize → Q-update → argmax → rank) through the
+//!   dense [`QTable`] and the frozen map-backed [`ReferenceQTable`] at
+//!   the paper's 3%/5%/10% bucket widths: production ÷ reference
+//!   intervals/sec > 1.5.
+//! * **Node scale** — the production [`ServiceNode`] (+ [`ThinkPool`])
+//!   against the scan oracle on identical pre-generated streams, reps
+//!   interleaved across every cell: open-loop Memcached at 64 and 1024
+//!   servers, closed-loop Web-Search at 1024 and 4096 clients, and the
+//!   2-big + 4-small Juno node re-keyed every interval. Floors:
+//!   s64→s1024 and c1024→c4096 events/sec ratios < 1.3, and
 //!   production-over-scan speedups on the Juno cell and at c4096 (the
 //!   earlier floors against the frozen heap nodes, translated onto the
 //!   scan oracle).
-//! * **Cluster dispatch at scale** (`BENCH_PR7.json`) —
-//!   `cluster/dispatch/*` cells time the cluster
-//!   [`Dispatcher`](hipster_core::cluster::Dispatcher) (one flat
-//!   occupancy array: O(1) power-of-two-choices picks, an O(N)
-//!   least-loaded scan) for both policies at 64/256/1024 nodes under
-//!   the same occupancy churn and RNG stream; `cluster/sweep/*` cells run
-//!   small multi-node [`ClusterSim`](hipster_core::ClusterSim) sweeps
-//!   through the work-stealing task scheduler and record the new
-//!   [`FleetStats`](hipster_core::FleetStats) wall-clock /
-//!   scenarios-per-second accounting; the `cluster/interval/*` cell
-//!   times one `ClusterSim::step` of the repro's 1024-node cluster with
-//!   its node stage serial vs on every core (n256 in smoke runs). Full
-//!   runs enforce a flat (≤1.3×) n64→n1024 p2c ns/decision ratio,
-//!   require p2c to be at least as fast as least-loaded at 1024 nodes,
-//!   and, on two or more cores, a ≥1.3× parallel node-stage speed-up.
+//! * **Cluster** — the cluster
+//!   [`Dispatcher`](hipster_core::cluster::Dispatcher) (O(1)
+//!   power-of-two-choices picks, an O(N) least-loaded scan) under one
+//!   occupancy churn and RNG stream: p2c ns/decision n64→n1024 ratio
+//!   < 1.3 and least-loaded ÷ p2c at n1024 > 1.0; and
+//!   `cluster/interval/n1024`, one `ClusterSim::step` of the repro's
+//!   1024-node cluster with its node stage serial vs on every core
+//!   (n256 in smoke runs): serial ÷ parallel ms/step > 1.3, recorded on
+//!   hosts with two or more cores only.
 //!
-//! Every event-core, control-plane and node-scale cell feeds its fast
-//! and reference implementations identical inputs, so their outputs must
-//! agree exactly — the bench doubles as an at-scale equivalence check and
-//! panics on any divergence.
+//! Every cell feeds its production and oracle sides identical inputs, so
+//! their outputs must agree exactly — the bench doubles as an at-scale
+//! equivalence check and panics on any divergence.
 //!
-//! Results are written to the current directory (the repo root, when run
-//! via `cargo run`), giving future PRs a recorded perf trajectory.
-//! `--smoke` runs the same cells with fewer simulated intervals so CI can
-//! validate the harness in seconds, and `--only <prefix>` restricts the
-//! run to cells whose name starts with the prefix (a results file is only
-//! rewritten when at least one of its cells ran).
+//! Rows are merged into `BENCH.jsonl` in the current directory (the repo
+//! root, when run via `cargo run`); full runs then hold every row they
+//! wrote to its floor. `--smoke` runs the same cells over fewer simulated
+//! intervals so CI can exercise the harness in seconds (smoke rows are
+//! never held to their floors), and `--only <prefix>` restricts the run
+//! to cells whose name starts with the prefix, replacing only the rows
+//! those cells feed.
 
+use std::path::Path;
 use std::time::Instant;
 
-use hipster_core::reference::{run_static_chunked, ReferenceQTable};
-use hipster_core::store::json::JsonObj;
-use hipster_core::{
-    run_tasks, ConfigSpace, Fleet, LoadBuckets, Policy, QTable, ScenarioSpec, StaticPolicy,
-};
+use hipster_core::reference::ReferenceQTable;
+use hipster_core::{ConfigSpace, LoadBuckets, QTable};
 
 use crate::experiments::cluster;
-use crate::runner::{heuristic_mapper, hipster_in, static_all_big, static_all_small, Workload};
+use crate::floors::{self, round, Row, Run};
+use crate::runner::{hipster_in, Workload};
 use hipster_platform::{power_ladder, CoreConfig, CoreKind, Frequency, Platform};
 use hipster_sim::dist::Exponential;
 use hipster_sim::reference::{ReferenceNode, ReferenceThinkPool};
@@ -72,7 +56,7 @@ use hipster_sim::{
     math, Demand, LcModel, NodeInterval, Sampler, ServerSpec, ServiceNode, SimRng, ThinkPool,
     DEFAULT_JITTER_SIGMA,
 };
-use hipster_workloads::{memcached, web_search, Constant, LcWorkload};
+use hipster_workloads::{memcached, web_search, LcWorkload};
 
 /// Tail percentile used by every bench interval (Memcached's QoS point).
 const TAIL_P: f64 = 0.95;
@@ -183,7 +167,6 @@ impl Pool for ReferenceThinkPool {
 struct Measured {
     /// Processed simulation events (arrivals + completions + timeouts).
     events: u64,
-    intervals: usize,
     wall_s: f64,
     /// Per-interval `(arrivals, completions, timeouts, tail bit pattern)` —
     /// compared across implementations to guarantee both ran the *same*
@@ -194,9 +177,6 @@ struct Measured {
 impl Measured {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s.max(1e-9)
-    }
-    fn intervals_per_sec(&self) -> f64 {
-        self.intervals as f64 / self.wall_s.max(1e-9)
     }
 }
 
@@ -228,68 +208,6 @@ fn mean_service_s(model: &LcWorkload) -> f64 {
         })
         .sum();
     total / n as f64
-}
-
-/// Open-loop driver: Poisson arrival events carrying workload bursts, one
-/// static configuration, `intervals` monitoring intervals of `interval_s`.
-/// Mirrors `Engine::run_events` without the platform measurement apparatus.
-fn drive_open<N: EventNode>(
-    node: &mut N,
-    model: &LcWorkload,
-    servers: usize,
-    rate_rps: f64,
-    interval_s: f64,
-    intervals: usize,
-    seed: u64,
-) -> Measured {
-    let specs = big_specs(model, servers);
-    let mut arrival_rng = SimRng::seed(seed);
-    let mut demand_rng = SimRng::seed(seed ^ 0x9e3779b97f4a7c15);
-    let event_rate = rate_rps / model.mean_burst().max(1.0);
-    let iat = Exponential::new(event_rate);
-    let start = Instant::now();
-    node.reconfigure(0.0, &specs, true, 0.0);
-    let mut now = 0.0f64;
-    let mut next_arrival = now + iat.sample(&mut arrival_rng);
-    let mut checksum = Vec::with_capacity(intervals);
-    let mut events = 0u64;
-    for _ in 0..intervals {
-        node.begin_interval(now);
-        let t_end = now + interval_s;
-        loop {
-            let t = match node.next_completion() {
-                Some(tc) if tc < next_arrival => tc.min(t_end),
-                _ => next_arrival.min(t_end),
-            };
-            node.advance(t);
-            if t >= t_end {
-                break;
-            }
-            if t == next_arrival {
-                let burst = model.sample_burst(&mut demand_rng).max(1);
-                for _ in 0..burst {
-                    let demand = model.sample_demand(&mut demand_rng);
-                    node.arrive(t, demand);
-                }
-                next_arrival = t + iat.sample(&mut arrival_rng);
-            }
-        }
-        now = t_end;
-        let iv = node.end_interval(t_end, TAIL_P);
-        events += (iv.arrivals + iv.completions + iv.timeouts) as u64;
-        checksum.push((
-            iv.arrivals,
-            iv.completions,
-            iv.timeouts,
-            iv.tail_latency_s.to_bits(),
-        ));
-    }
-    Measured {
-        events,
-        intervals,
-        wall_s: start.elapsed().as_secs_f64(),
-        checksum,
-    }
 }
 
 /// Closed-loop driver: a fixed population of `clients` in a submit → wait →
@@ -362,58 +280,8 @@ fn drive_closed<N: EventNode, P: Pool>(
     }
     Measured {
         events,
-        intervals,
         wall_s: start.elapsed().as_secs_f64(),
         checksum,
-    }
-}
-
-/// One scenario cell of the bench matrix.
-struct Cell {
-    name: String,
-    mode: &'static str,
-    servers: usize,
-    clients: Option<usize>,
-    offered_rps: f64,
-    interval_s: f64,
-    intervals: usize,
-    new: Measured,
-    reference: Measured,
-}
-
-impl Cell {
-    fn speedup(&self) -> f64 {
-        self.new.events_per_sec() / self.reference.events_per_sec().max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"mode\":\"{}\",\"servers\":{},\"clients\":{},",
-                "\"offered_rps\":{:.1},\"interval_s\":{},\"intervals\":{},",
-                "\"events\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},",
-                "\"intervals_per_sec\":{:.3},",
-                "\"reference\":{{\"events\":{},\"wall_s\":{:.6},",
-                "\"events_per_sec\":{:.1},\"intervals_per_sec\":{:.3}}},",
-                "\"speedup\":{:.2}}}"
-            ),
-            self.name,
-            self.mode,
-            self.servers,
-            self.clients.map_or("null".into(), |c| c.to_string()),
-            self.offered_rps,
-            self.interval_s,
-            self.intervals,
-            self.new.events,
-            self.new.wall_s,
-            self.new.events_per_sec(),
-            self.new.intervals_per_sec(),
-            self.reference.events,
-            self.reference.wall_s,
-            self.reference.events_per_sec(),
-            self.reference.intervals_per_sec(),
-            self.speedup(),
-        )
     }
 }
 
@@ -430,167 +298,24 @@ fn selected(only: Option<&str>, name: &str) -> bool {
     only.is_none_or(|prefix| name.starts_with(prefix))
 }
 
-/// Runs the bench matrices, writing `BENCH_PR3.json` (event core),
-/// `BENCH_PR4.json` (control plane + fleet scheduling), `BENCH.jsonl`
-/// (node scale: production node vs scan oracle) and `BENCH_PR7.json`
-/// (cluster dispatch at scale). With `smoke`, runs the same cells over
-/// fewer simulated intervals (seconds, for CI). With `only`, runs just
-/// the cells whose name starts with the prefix; a results file is only
-/// rewritten when at least one of its cells ran.
+/// Runs the three families and merges their rows into `BENCH.jsonl`.
+/// With `smoke`, runs the same cells over fewer simulated intervals
+/// (seconds, for CI). With `only`, runs just the cells whose name starts
+/// with the prefix.
 pub fn run(smoke: bool, only: Option<&str>) {
-    run_event_core(smoke, only);
-    run_control_plane(smoke, only);
-    run_node_scale(smoke, only);
-    run_cluster_scale(smoke, only);
-}
-
-/// The PR3 event-core matrix → `BENCH_PR3.json`.
-fn run_event_core(smoke: bool, only: Option<&str>) {
-    let open_model = memcached();
-    let closed_model = web_search();
-    let open_intervals = if smoke { 2 } else { 10 };
-    let closed_intervals = if smoke { 2 } else { 10 };
-    // Open-loop cells: interval length chosen so the largest cell stays
-    // around a million requests per run (Memcached requests are ~50 µs).
-    let open_interval_s = 0.1;
-    let closed_interval_s = 1.0;
-    let t_mean_open = mean_service_s(&open_model);
-    let t_mean_closed = mean_service_s(&closed_model);
-
-    let mut cells: Vec<Cell> = Vec::new();
-
-    for &servers in &[4usize, 16, 64] {
-        let rate = UTILIZATION * servers as f64 / t_mean_open;
-        let name = format!("open/memcached/s{servers}");
-        if !selected(only, &name) {
-            continue;
-        }
-        print!("  {name} ...");
-        let mut node = ServiceNode::new();
-        let new = drive_open(
-            &mut node,
-            &open_model,
-            servers,
-            rate,
-            open_interval_s,
-            open_intervals,
-            42,
-        );
-        let mut refnode = ReferenceNode::new();
-        let reference = drive_open(
-            &mut refnode,
-            &open_model,
-            servers,
-            rate,
-            open_interval_s,
-            open_intervals,
-            42,
-        );
-        check_equivalence(&name, &new, &reference);
-        println!(
-            " {:.2} M events/s (reference {:.2} M) — {:.1}×",
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-        );
-        cells.push(Cell {
-            name,
-            mode: "open",
-            servers,
-            clients: None,
-            offered_rps: rate,
-            interval_s: open_interval_s,
-            intervals: open_intervals,
-            new,
-            reference,
-        });
-    }
-
-    for &(servers, clients) in &[(4usize, 256usize), (16, 1024), (64, 4096)] {
-        // Think time calibrated so offered load ≈ UTILIZATION × capacity:
-        // clients / (think + t̄) = U × servers / t̄.
-        let think = (t_mean_closed * clients as f64 / (UTILIZATION * servers as f64)
-            - t_mean_closed)
-            .max(1e-3);
-        let offered = clients as f64 / (think + t_mean_closed);
-        let name = format!("closed/web-search/c{clients}");
-        if !selected(only, &name) {
-            continue;
-        }
-        print!("  {name} ...");
-        let mut node = ServiceNode::new();
-        let mut pool = ThinkPool::new();
-        let new = drive_closed(
-            &mut node,
-            &mut pool,
-            &closed_model,
-            servers,
-            clients,
-            think,
-            closed_interval_s,
-            closed_intervals,
-            43,
-        );
-        let mut refnode = ReferenceNode::new();
-        let mut refpool = ReferenceThinkPool::new();
-        let reference = drive_closed(
-            &mut refnode,
-            &mut refpool,
-            &closed_model,
-            servers,
-            clients,
-            think,
-            closed_interval_s,
-            closed_intervals,
-            43,
-        );
-        check_equivalence(&name, &new, &reference);
-        println!(
-            " {:.2} M events/s (reference {:.2} M) — {:.1}×",
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-        );
-        cells.push(Cell {
-            name,
-            mode: "closed",
-            servers,
-            clients: Some(clients),
-            offered_rps: offered,
-            interval_s: closed_interval_s,
-            intervals: closed_intervals,
-            new,
-            reference,
-        });
-    }
-
-    if cells.is_empty() {
-        return; // --only matched nothing here; leave the file alone
-    }
-    let body: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster event-core throughput\",\"pr\":\"PR3\",\
-         \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
-         \"utilization\":{UTILIZATION},\"cells\":[\n  {}\n]}}\n",
-        body.join(",\n  ")
-    );
-    let path = "BENCH_PR3.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-
-    let largest = cells.last().expect("cells are non-empty");
-    println!(
-        "\nlargest cell ({}): {:.2}× events/sec over the pre-PR3 engine",
-        largest.name,
-        largest.speedup()
-    );
+    let mut rows = Run::default();
+    run_control_plane(smoke, only, &mut rows);
+    run_node_scale(smoke, only, &mut rows);
+    run_cluster_scale(smoke, only, &mut rows);
+    rows.record(Path::new(floors::PATH), smoke);
 }
 
 // ---------------------------------------------------------------------
-// PR4: control-plane + fleet-scheduling cells → BENCH_PR4.json
+// Control plane: the dense Q-table vs the map-backed reference
 // ---------------------------------------------------------------------
+
+/// Control floor: production ÷ reference intervals/sec on every width.
+const CONTROL_FLOOR: f64 = 1.5;
 
 /// Q-learning constants of the control kernel (the paper's α, a mid γ).
 const CONTROL_ALPHA: f64 = 0.6;
@@ -670,7 +395,7 @@ fn drive_control_dense(
     }
 }
 
-/// The same control path as the pre-PR4 stack ran it: hash-map Q-table
+/// The same control path as the original map-backed stack ran it: hash-map Q-table
 /// keyed on `(bucket, CoreConfig)`, argmax/positivity scans over the
 /// action slice (a hash per action), and the `position()` rank scan the
 /// old stabilizer paid to turn the chosen configuration back into a
@@ -712,168 +437,18 @@ fn drive_control_reference(
     }
 }
 
-/// One control-plane cell (one bucket width).
-struct ControlCell {
-    name: String,
-    bucket_width: f64,
-    buckets: usize,
-    actions: usize,
-    new: ControlMeasured,
-    reference: ControlMeasured,
-}
-
-impl ControlCell {
-    fn speedup(&self) -> f64 {
-        self.new.intervals_per_sec() / self.reference.intervals_per_sec().max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"bucket_width\":{},\"buckets\":{},",
-                "\"actions\":{},\"intervals\":{},\"wall_s\":{:.6},",
-                "\"intervals_per_sec\":{:.1},",
-                "\"reference\":{{\"wall_s\":{:.6},\"intervals_per_sec\":{:.1}}},",
-                "\"speedup\":{:.2}}}"
-            ),
-            self.name,
-            self.bucket_width,
-            self.buckets,
-            self.actions,
-            self.new.intervals,
-            self.new.wall_s,
-            self.new.intervals_per_sec(),
-            self.reference.wall_s,
-            self.reference.intervals_per_sec(),
-            self.speedup(),
-        )
-    }
-}
-
-/// Worker threads the fleet cells request. The scheduler caps at the
-/// scenario count; on boxes with fewer cores the OS time-shares, which
-/// still exercises (and measures) both schedulers' idle tails.
-const FLEET_WORKERS: usize = 4;
-
-/// Declares one (config, load) heatmap cell: Memcached at constant
-/// `load`, pinned to `config` — the fig. 2/3 measurement shape. Cost
-/// scales with `load`, so a sweep is exactly the heterogeneous,
-/// straggler-prone batch a static partition handles worst.
-fn heatmap_spec(config: CoreConfig, load: f64, intervals: usize, interval_s: f64) -> ScenarioSpec {
-    ScenarioSpec::new(
-        format!("bench/heatmap/{config}@{load:.3}"),
-        Platform::juno_r1(),
-    )
-    .workload_with(|| Box::new(memcached()))
-    .load(Constant::new(load, intervals as f64 * interval_s))
-    .policy(move |_: &Platform, _| Box::new(StaticPolicy::new(config)) as Box<dyn Policy>)
-    .intervals(intervals)
-    .interval_s(interval_s)
-}
-
-/// Builds the `scenarios`-cell heatmap fleet (side × side grid over
-/// load levels × ladder configurations). Declared load-major, like the
-/// repo's fig. 2/3 sweeps measure one load level at a time — which means
-/// a static partition hands one worker the near-saturation rows while
-/// another gets the cheap ones.
-fn heatmap_fleet(scenarios: usize, intervals: usize, interval_s: f64) -> Fleet {
+/// The control-plane family: one row per bucket width. The paper deploys
+/// 2–4% buckets for Memcached and 3–9% for Web-Search; 3%/5%/10% spans
+/// that range (3% = most buckets = the largest table).
+fn run_control_plane(smoke: bool, only: Option<&str>, rows: &mut Run) {
+    let intervals = if smoke { 20_000 } else { 400_000 };
     let ladder = power_ladder(&Platform::juno_r1());
-    let side = (scenarios as f64).sqrt().round() as usize;
-    assert_eq!(side * side, scenarios, "heatmap cells must be square");
-    let mut fleet = Fleet::new();
-    for li in 0..side {
-        let load = 0.1 + 0.9 * li as f64 / (side - 1).max(1) as f64;
-        for ci in 0..side {
-            // Spread across the whole ladder, cheapest to priciest.
-            let config = ladder[ci * (ladder.len() - 1) / (side - 1).max(1)];
-            fleet.push(heatmap_spec(config, load, intervals, interval_s));
-        }
-    }
-    fleet.threads(FLEET_WORKERS).base_seed(4)
-}
-
-/// One measured scheduler run over one fleet size.
-struct FleetMeasured {
-    wall_s: f64,
-    workers: usize,
-    /// Finish-time spread of the workers (`FleetStats::idle_tail_frac`).
-    idle_tail_frac: f64,
-    /// Digest of every outcome (name, seed, trace CSV) in declaration
-    /// order — compared across schedulers to guarantee both ran the same
-    /// sweep.
-    digest: u64,
-}
-
-/// FNV-1a over the outcome stream.
-fn fleet_digest(outcomes: &[hipster_core::ScenarioOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for o in outcomes {
-        eat(o.name.as_bytes());
-        eat(&o.seed.to_le_bytes());
-        eat(o.trace.to_csv().as_bytes());
-    }
-    h
-}
-
-/// One fleet-scheduling cell (one sweep size).
-struct FleetCell {
-    name: String,
-    scenarios: usize,
-    intervals: usize,
-    interval_s: f64,
-    new: FleetMeasured,
-    reference: FleetMeasured,
-}
-
-impl FleetCell {
-    fn speedup(&self) -> f64 {
-        self.reference.wall_s / self.new.wall_s.max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"scenarios\":{},\"workers\":{},",
-                "\"intervals_per_scenario\":{},\"interval_s\":{},",
-                "\"wall_s\":{:.6},\"idle_tail_frac\":{:.4},",
-                "\"reference\":{{\"wall_s\":{:.6},\"idle_tail_frac\":{:.4}}},",
-                "\"speedup\":{:.2}}}"
-            ),
-            self.name,
-            self.scenarios,
-            self.new.workers,
-            self.intervals,
-            self.interval_s,
-            self.new.wall_s,
-            self.new.idle_tail_frac,
-            self.reference.wall_s,
-            self.reference.idle_tail_frac,
-            self.speedup(),
-        )
-    }
-}
-
-/// The PR4 matrix → `BENCH_PR4.json`.
-fn run_control_plane(smoke: bool, only: Option<&str>) {
-    // Control-plane cells: the paper deploys 2–4% buckets for Memcached
-    // and 3–9% for Web-Search; 3%/5%/10% spans that range (3% = most
-    // buckets = the largest cell).
-    let control_intervals = if smoke { 20_000 } else { 400_000 };
-    let ladder = power_ladder(&Platform::juno_r1());
-    let mut control_cells: Vec<ControlCell> = Vec::new();
     for &(tag, width) in &[("b3", 0.03), ("b5", 0.05), ("b10", 0.10)] {
         let name = format!("control/qpath/{tag}");
         if !selected(only, &name) {
             continue;
         }
-        print!("  {name} ...");
-        let (loads, rewards) = control_inputs(control_intervals, 0x51);
+        let (loads, rewards) = control_inputs(intervals, 0x51);
         let new = drive_control_dense(ConfigSpace::new(ladder.clone()), width, &loads, &rewards);
         let reference = drive_control_reference(&ladder, width, &loads, &rewards);
         assert_eq!(
@@ -884,115 +459,28 @@ fn run_control_plane(smoke: bool, only: Option<&str>) {
             new.table_tsv, reference.table_tsv,
             "{name}: dense and map-backed tables diverged"
         );
+        let speedup = new.intervals_per_sec() / reference.intervals_per_sec().max(1e-9);
         println!(
-            " {:.2} M intervals/s (reference {:.2} M) — {:.1}×",
+            "  {name} ... {:.2} M intervals/s (reference {:.2} M) — {speedup:.2}×",
             new.intervals_per_sec() / 1e6,
             reference.intervals_per_sec() / 1e6,
-            new.intervals_per_sec() / reference.intervals_per_sec().max(1e-9),
         );
-        control_cells.push(ControlCell {
-            name,
-            bucket_width: width,
-            buckets: LoadBuckets::new(width).num_buckets(),
-            actions: ladder.len(),
-            new,
-            reference,
-        });
-    }
-
-    // Fleet cells: 64/256/1024-scenario heatmap sweeps, work-stealing vs
-    // the static-partition baseline scheduler.
-    let (fleet_intervals, fleet_interval_s) = if smoke { (1, 0.02) } else { (6, 0.1) };
-    let mut fleet_cells: Vec<FleetCell> = Vec::new();
-    for &scenarios in &[64usize, 256, 1024] {
-        let name = format!("fleet/heatmap/s{scenarios}");
-        if !selected(only, &name) {
-            continue;
-        }
-        print!("  {name} ...");
-        let start = Instant::now();
-        let (outcomes, stats) = heatmap_fleet(scenarios, fleet_intervals, fleet_interval_s)
-            .run_with_stats()
-            .expect("valid heatmap fleet");
-        let wall = start.elapsed().as_secs_f64();
-        let new = FleetMeasured {
-            wall_s: wall,
-            workers: stats.workers,
-            idle_tail_frac: stats.idle_tail_frac(),
-            digest: fleet_digest(&outcomes),
-        };
-        drop(outcomes);
-        let start = Instant::now();
-        let (ref_outcomes, ref_stats) =
-            run_static_chunked(heatmap_fleet(scenarios, fleet_intervals, fleet_interval_s))
-                .expect("valid heatmap fleet");
-        let wall = start.elapsed().as_secs_f64();
-        let reference = FleetMeasured {
-            wall_s: wall,
-            workers: ref_stats.workers,
-            idle_tail_frac: ref_stats.idle_tail_frac(),
-            digest: fleet_digest(&ref_outcomes),
-        };
-        assert_eq!(
-            new.digest, reference.digest,
-            "{name}: work-stealing and static-chunk schedulers produced different sweeps"
-        );
-        println!(
-            " {:.2}s, idle tail {:.1}% (static chunks {:.2}s, idle tail {:.1}%) — {:.2}×",
-            new.wall_s,
-            new.idle_tail_frac * 100.0,
-            reference.wall_s,
-            reference.idle_tail_frac * 100.0,
-            reference.wall_s / new.wall_s.max(1e-9),
-        );
-        fleet_cells.push(FleetCell {
-            name,
-            scenarios,
-            intervals: fleet_intervals,
-            interval_s: fleet_interval_s,
-            new,
-            reference,
-        });
-    }
-
-    if control_cells.is_empty() && fleet_cells.is_empty() {
-        return; // --only matched nothing here; leave the file alone
-    }
-    let control_body: Vec<String> = control_cells.iter().map(ControlCell::json).collect();
-    let fleet_body: Vec<String> = fleet_cells.iter().map(FleetCell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster control plane + fleet scheduling\",\"pr\":\"PR4\",\
-         \"smoke\":{smoke},\"alpha\":{CONTROL_ALPHA},\"gamma\":{CONTROL_GAMMA},\
-         \"control_cells\":[\n  {}\n],\"fleet_cells\":[\n  {}\n]}}\n",
-        control_body.join(",\n  "),
-        fleet_body.join(",\n  ")
-    );
-    let path = "BENCH_PR4.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-
-    if let Some(largest) = control_cells.first() {
-        println!(
-            "\nlargest control-plane cell ({}): {:.2}× intervals/sec over the map-backed table",
-            largest.name,
-            largest.speedup()
-        );
-    }
-    if let Some(largest_fleet) = fleet_cells.last() {
-        println!(
-            "largest fleet cell ({}): idle tail {:.1}% vs {:.1}% static chunking ({:.2}× wall)",
-            largest_fleet.name,
-            largest_fleet.new.idle_tail_frac * 100.0,
-            largest_fleet.reference.idle_tail_frac * 100.0,
-            largest_fleet.speedup()
+        let size = format!("{}x{}", LoadBuckets::new(width).num_buckets(), ladder.len());
+        rows.push(
+            Row::new(
+                "control",
+                &format!("qpath/{tag}"),
+                &size,
+                "speedup_over_reference_intervals_per_sec",
+            )
+            .higher(round(speedup, 4), CONTROL_FLOOR)
+            .oracle(reference.intervals_per_sec().round()),
         );
     }
 }
 
 // ---------------------------------------------------------------------
-// Node scale: the production node vs the scan oracle → BENCH.jsonl
+// Node scale: the production node vs the scan oracle
 // ---------------------------------------------------------------------
 
 /// Rounds of the node-scale family. Every round runs one production
@@ -1035,11 +523,11 @@ const JUNO_CELL: &str = "open/memcached-juno/s6";
 /// Offered load of the Juno cell, as a fraction of its mean capacity.
 const JUNO_LOAD: f64 = 0.6;
 
-/// Pre-generates the open-loop arrival stream one interval at a time —
-/// the same RNG draw sequence as [`drive_open`], but outside the timed
-/// region, so the node-scale cells measure the event core rather than
-/// the workload sampler (the same hoist the PR4 control cells make with
-/// [`control_inputs`]).
+/// Pre-generates the open-loop arrival stream one interval at a time:
+/// Poisson burst events (arrival RNG) carrying workload bursts (demand
+/// RNG), sampled outside the timed region so the node-scale cells
+/// measure the event core rather than the workload sampler (the same
+/// hoist the control cells make with [`control_inputs`]).
 struct OpenStreamGen<'m> {
     model: &'m LcWorkload,
     arrival_rng: SimRng,
@@ -1064,9 +552,8 @@ impl<'m> OpenStreamGen<'m> {
 
     /// Fills `out` with every `(arrival time, demand)` of the interval
     /// ending at `t_end` (bursts flattened; all requests of a burst share
-    /// the burst's arrival time, exactly as the inline driver delivers
-    /// them). An arrival landing on `t_end` is deferred to the next
-    /// interval, as the inline driver's `t >= t_end` break does.
+    /// the burst's arrival time). An arrival landing on `t_end` is
+    /// deferred to the next interval.
     fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>) {
         out.clear();
         while self.next_arrival < t_end {
@@ -1080,9 +567,10 @@ impl<'m> OpenStreamGen<'m> {
     }
 }
 
-/// One timed pass of the open-loop replay: identical event delivery to
-/// [`drive_open`] (same completion-vs-arrival precedence, same boundary
-/// semantics), but consuming a pre-generated arrival stream. When
+/// One timed pass of the open-loop replay, delivering events as
+/// `Engine::run_events` does (a completion precedes an arrival at the
+/// same instant; the interval boundary closes the interval), from a
+/// pre-generated arrival stream. When
 /// `dvfs_specs` is non-empty, every interval boundary after the first
 /// applies the next ladder step as a DVFS-style rescale (no preemption,
 /// no stall) *inside* the timed region — per-interval reconfiguration
@@ -1145,7 +633,6 @@ fn replay_open<N: EventNode>(
     }
     Measured {
         events,
-        intervals,
         wall_s,
         checksum,
     }
@@ -1251,7 +738,6 @@ fn replay_closed<N: EventNode, P: Pool>(
     }
     Measured {
         events,
-        intervals,
         wall_s: start.elapsed().as_secs_f64(),
         checksum,
     }
@@ -1423,45 +909,7 @@ impl NodePlan {
     }
 }
 
-/// One line of `BENCH.jsonl`: a floor and the value it binds.
-struct FloorRow {
-    workload: String,
-    size: String,
-    metric: &'static str,
-    value: f64,
-    /// The oracle's events/sec where the floor is a speedup over it;
-    /// NaN (`null`) where the floor compares the production node with
-    /// itself.
-    oracle_value: f64,
-    floor: f64,
-    /// `"higher"` or `"lower"`: which side of the floor passes.
-    better: &'static str,
-}
-
-impl FloorRow {
-    fn holds(&self) -> bool {
-        match self.better {
-            "higher" => self.value >= self.floor,
-            _ => self.value <= self.floor,
-        }
-    }
-
-    fn json(&self, smoke: bool) -> String {
-        JsonObj::new()
-            .str("layer", "node")
-            .str("workload", &self.workload)
-            .str("size", &self.size)
-            .str("metric", self.metric)
-            .num("value", (self.value * 1e4).round() / 1e4)
-            .num("oracle_value", self.oracle_value.round())
-            .num("floor", self.floor)
-            .str("better", self.better)
-            .bool("smoke", smoke)
-            .render()
-    }
-}
-
-/// The node-scale family → `BENCH.jsonl`: the production [`ServiceNode`]
+/// The node-scale family: the production [`ServiceNode`]
 /// (+ [`ThinkPool`]) against the scan oracle [`ReferenceNode`] (+
 /// [`ReferenceThinkPool`]) on identical pre-generated streams,
 /// digest-compared (panics on divergence). Cells:
@@ -1479,16 +927,14 @@ impl FloorRow {
 ///   [`juno_ladder`]) serving Memcached at [`JUNO_LOAD`] of its capacity,
 ///   re-keyed every 50 ms interval.
 ///
-/// One line per floor, each enforced on every non-smoke run that ran its
-/// cells (`--only` included; the file is still written first, so a
-/// failing value is on record):
+/// One row per floor:
 ///
-/// * s64→s1024 production events/sec ratio ≤ [`FLATNESS_FLOOR`];
-/// * c1024→c4096 production events/sec ratio ≤ [`FLATNESS_FLOOR`];
-/// * Juno production ÷ scan events/sec ≥ [`JUNO_FLOOR`] (0.85 ×
+/// * s64→s1024 production events/sec ratio < [`FLATNESS_FLOOR`];
+/// * c1024→c4096 production events/sec ratio < [`FLATNESS_FLOOR`];
+/// * Juno production ÷ scan events/sec > [`JUNO_FLOOR`] (0.85 ×
 ///   [`JUNO_HEAP_OVER_SCAN`]);
-/// * c4096 production ÷ scan events/sec ≥ 1.0 × [`C4096_HEAP_OVER_SCAN`].
-fn run_node_scale(smoke: bool, only: Option<&str>) {
+/// * c4096 production ÷ scan events/sec > 1.0 × [`C4096_HEAP_OVER_SCAN`].
+fn run_node_scale(smoke: bool, only: Option<&str>, rows: &mut Run) {
     let open_model = memcached();
     let closed_model = web_search();
     let reps = if smoke { 3 } else { NODE_REPS };
@@ -1589,7 +1035,7 @@ fn run_node_scale(smoke: bool, only: Option<&str>) {
     }
 
     if plans.is_empty() {
-        return; // --only matched nothing here; leave the file alone
+        return;
     }
 
     let model_of = |plan: &NodePlan| match plan.stream {
@@ -1616,7 +1062,6 @@ fn run_node_scale(smoke: bool, only: Option<&str>) {
     }
 
     let mut eps: Vec<(String, f64)> = Vec::new();
-    let mut rows: Vec<FloorRow> = Vec::new();
     for (i, plan) in plans.iter().enumerate() {
         let new = median_pass(std::mem::take(&mut prod[i]));
         match plan.oracle {
@@ -1634,15 +1079,11 @@ fn run_node_scale(smoke: bool, only: Option<&str>) {
                     .name
                     .rsplit_once('/')
                     .expect("cell names end in /<size>");
-                rows.push(FloorRow {
-                    workload: workload.to_string(),
-                    size: size.to_string(),
-                    metric: "speedup_over_scan_events_per_sec",
-                    value: speedup,
-                    oracle_value: reference.events_per_sec(),
-                    floor,
-                    better: "higher",
-                });
+                rows.push(
+                    Row::new("node", workload, size, "speedup_over_scan_events_per_sec")
+                        .higher(round(speedup, 4), floor)
+                        .oracle(reference.events_per_sec().round()),
+                );
             }
             OracleUse::Digest { intervals } => {
                 let reference = plan.oracle(model_of(plan), &mut buf, intervals);
@@ -1669,151 +1110,33 @@ fn run_node_scale(smoke: bool, only: Option<&str>) {
         ("closed/web-search", "c1024", "c4096"),
     ] {
         let eps_at = |size| find(&format!("{workload}/{size}"));
-        if let (Some(small_eps), Some(large_eps)) = (eps_at(small), eps_at(large)) {
-            let ratio = small_eps / large_eps.max(1e-9);
-            let size = format!("{small}/{large}");
-            println!("  flatness {workload} {size}: ratio {ratio:.3} (floor {FLATNESS_FLOOR})");
-            rows.push(FloorRow {
-                workload: workload.to_string(),
-                size,
-                metric: "events_per_sec_ratio",
-                value: ratio,
-                oracle_value: f64::NAN,
-                floor: FLATNESS_FLOOR,
-                better: "lower",
-            });
-        }
-    }
-
-    let body: String = rows.iter().map(|r| r.json(smoke) + "\n").collect();
-    let path = "BENCH.jsonl";
-    match std::fs::write(path, body) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-    // Floors bind on full runs only: smoke runs are seconds-long and land
-    // on noisy CI machines.
-    if !smoke {
-        for row in &rows {
-            assert!(
-                row.holds(),
-                "node floor: {} {} {} = {:.4} must be {} than {:.4}",
-                row.workload,
-                row.size,
-                row.metric,
-                row.value,
-                row.better,
-                row.floor
-            );
-        }
+        let size = format!("{small}/{large}");
+        push_pair(
+            rows,
+            Row::new("node", workload, &size, "events_per_sec_ratio"),
+            eps_at(small),
+            eps_at(large),
+            |row, small_eps, large_eps| {
+                let ratio = small_eps / large_eps.max(1e-9);
+                println!("  flatness {workload} {size}: ratio {ratio:.3} (floor {FLATNESS_FLOOR})");
+                row.lower(round(ratio, 4), FLATNESS_FLOOR)
+            },
+        );
     }
 }
 
-// ---------------------------------------------------------------------------
-// PR7: cluster dispatch at scale → BENCH_PR7.json
-// ---------------------------------------------------------------------------
+// ---------------------------------------------------------------------
+// Cluster: dispatch cost at scale and the parallel node stage
+// ---------------------------------------------------------------------
 
-/// One cluster-dispatch cell: the dispatcher's best-of-reps wall time
-/// over a fixed occupancy churn and RNG stream.
-#[derive(Debug)]
-struct DispatchCell {
-    name: String,
-    policy: &'static str,
-    nodes: usize,
-    decisions: u64,
-    wall_s: f64,
-}
+/// Dispatch flatness floor: p2c ns/decision at n1024 over n64.
+const DISPATCH_FLATNESS_FLOOR: f64 = 1.3;
 
-impl DispatchCell {
-    fn ns_per_decision(&self) -> f64 {
-        self.wall_s * 1e9 / (self.decisions.max(1) as f64)
-    }
+/// Dispatch race floor: least-loaded over p2c ns/decision at n1024.
+const DISPATCH_RACE_FLOOR: f64 = 1.0;
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"policy\":\"{}\",\"nodes\":{},",
-                "\"decisions\":{},\"ns_per_decision\":{:.2}}}"
-            ),
-            self.name,
-            self.policy,
-            self.nodes,
-            self.decisions,
-            self.ns_per_decision(),
-        )
-    }
-}
-
-/// One cluster-sweep cell: a small multi-node simulation grid executed
-/// through the work-stealing task scheduler, recording the
-/// wall-clock/throughput side of [`FleetStats`](hipster_core::FleetStats).
-#[derive(Debug)]
-struct SweepCell {
-    name: String,
-    nodes: usize,
-    scenarios: usize,
-    workers: usize,
-    wall_s: f64,
-    scenarios_per_sec: f64,
-    idle_tail_frac: f64,
-    completions: u64,
-}
-
-impl SweepCell {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"nodes\":{},\"scenarios\":{},",
-                "\"workers\":{},\"wall_s\":{:.4},\"scenarios_per_sec\":{:.2},",
-                "\"idle_tail_frac\":{:.4},\"completions\":{}}}"
-            ),
-            self.name,
-            self.nodes,
-            self.scenarios,
-            self.workers,
-            self.wall_s,
-            self.scenarios_per_sec,
-            self.idle_tail_frac,
-            self.completions,
-        )
-    }
-}
-
-/// One cluster-interval cell: ms per `ClusterSim::step` of the repro's
-/// `cluster_spec`, node stage serial (`threads(1)`) vs on every core
-/// (`threads(0)`), best of interleaved reps.
-#[derive(Debug)]
-struct IntervalCell {
-    name: String,
-    nodes: usize,
-    steps: usize,
-    cores: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-}
-
-impl IntervalCell {
-    fn speedup(&self) -> f64 {
-        self.serial_ms / self.parallel_ms.max(1e-12)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"nodes\":{},\"steps\":{},\"cores\":{},",
-                "\"serial_ms_per_step\":{:.3},\"parallel_ms_per_step\":{:.3},",
-                "\"speedup\":{:.3}}}"
-            ),
-            self.name,
-            self.nodes,
-            self.steps,
-            self.cores,
-            self.serial_ms,
-            self.parallel_ms,
-            self.speedup(),
-        )
-    }
-}
+/// Parallel node-stage floor: serial over parallel ms per cluster step.
+const INTERVAL_FLOOR: f64 = 1.3;
 
 /// Builds the repro's `cluster_spec` (HipsterIn per node) with its node
 /// stage on `threads` workers and steps it `steps` intervals, returning
@@ -1864,266 +1187,136 @@ fn drive_dispatch(
     start.elapsed().as_secs_f64()
 }
 
-/// The cluster matrix → `BENCH_PR7.json`: p2c and least-loaded dispatch
-/// at 64–1024 nodes, plus work-stealing cluster sweeps with
-/// wall-clock/throughput accounting.
-fn run_cluster_scale(smoke: bool, only: Option<&str>) {
+/// The cluster family: p2c and least-loaded dispatch cost under one
+/// occupancy churn, and the parallel node stage of the repro's cluster.
+fn run_cluster_scale(smoke: bool, only: Option<&str>, rows: &mut Run) {
     use hipster_core::cluster::{DispatchPolicy, Dispatcher};
 
     let quanta = 4usize;
     let cap = 16u32; // matches ClusterSim's (4 × quanta).max(8) occupancy cap
     let reps = if smoke { 1 } else { 3 };
     let target_decisions = if smoke { 200_000 } else { 4_000_000 };
+    let intervals_at = |nodes: usize| (target_decisions / (nodes * quanta)).max(8);
 
     // Reps are the outer loop across every dispatch cell, so a slow phase
     // of a shared machine lands on n64 and n1024 alike instead of on
-    // whichever cell happened to be running — the flatness floor compares
-    // cells, so drift between them must cancel.
-    let mut plans: Vec<(String, DispatchPolicy, usize, usize)> = Vec::new();
-    for &nodes in &[64usize, 256, 1024] {
-        for (policy, tag) in [
-            (DispatchPolicy::PowerOfTwo, "p2c"),
-            (DispatchPolicy::LeastLoaded, "least-loaded"),
-        ] {
-            let name = format!("cluster/dispatch/{tag}/n{nodes}");
-            if selected(only, &name) {
-                let intervals = (target_decisions / (nodes * quanta)).max(8);
-                plans.push((name, policy, nodes, intervals));
-            }
-        }
-    }
+    // whichever cell happened to be running — the floors compare cells,
+    // so drift between them must cancel.
+    let plans: Vec<(&str, DispatchPolicy, usize)> = [
+        ("p2c/n64", DispatchPolicy::PowerOfTwo, 64),
+        ("p2c/n1024", DispatchPolicy::PowerOfTwo, 1024),
+        ("least-loaded/n1024", DispatchPolicy::LeastLoaded, 1024),
+    ]
+    .into_iter()
+    .filter(|(tag, ..)| selected(only, &format!("cluster/dispatch/{tag}")))
+    .collect();
     let mut best = vec![f64::INFINITY; plans.len()];
     for rep in 0..reps {
-        for (i, &(_, policy, nodes, intervals)) in plans.iter().enumerate() {
+        for (i, &(_, policy, nodes)) in plans.iter().enumerate() {
             let mut d = Dispatcher::new(policy, nodes, cap);
             let seed = 0xC105 + rep as u64;
-            best[i] = best[i].min(drive_dispatch(&mut d, nodes, cap, quanta, intervals, seed));
+            let wall = drive_dispatch(&mut d, nodes, cap, quanta, intervals_at(nodes), seed);
+            best[i] = best[i].min(wall);
         }
     }
-    let mut dispatch_cells: Vec<DispatchCell> = Vec::new();
-    for ((name, policy, nodes, intervals), wall_s) in plans.into_iter().zip(best) {
-        let cell = DispatchCell {
-            name,
-            policy: policy.name(),
-            nodes,
-            decisions: (nodes * quanta * intervals) as u64,
-            wall_s,
-        };
-        println!(
-            "  {} ... {:.1} ns/decision",
-            cell.name,
-            cell.ns_per_decision()
-        );
-        dispatch_cells.push(cell);
-    }
-
-    let mut sweep_cells: Vec<SweepCell> = Vec::new();
-    let sweep_nodes: &[usize] = if smoke { &[16, 64] } else { &[16, 64, 256] };
-    for &nodes in sweep_nodes {
-        let name = format!("cluster/sweep/n{nodes}");
-        if !selected(only, &name) {
-            continue;
-        }
-        let intervals = if smoke { 2 } else { 4 };
-        let tasks: Vec<(String, _)> = [
-            (
-                "HipsterIn",
-                hipster_in(Workload::Memcached.tuned_zones(), 2, 0.05),
-            ),
-            (
-                "Heuristic",
-                heuristic_mapper(Workload::Memcached.tuned_zones()),
-            ),
-            ("Static-Big", static_all_big()),
-            ("Static-Small", static_all_small()),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, policy))| {
-            let scenario = format!("{name}/{label}");
-            (scenario.clone(), move || {
-                cluster::cluster_spec(scenario, nodes, policy, intervals, 7 + i as u64)
-                    .build()
-                    .expect("valid cluster spec")
-                    .run()
-            })
+    let ns: Vec<(&str, f64)> = plans
+        .iter()
+        .zip(best)
+        .map(|(&(tag, _, nodes), wall_s)| {
+            let ns = wall_s * 1e9 / (nodes * quanta * intervals_at(nodes)) as f64;
+            println!("  cluster/dispatch/{tag} ... {ns:.1} ns/decision");
+            (tag, ns)
         })
         .collect();
-        let (outcomes, stats) = run_tasks(tasks, 0).expect("cluster sweep");
-        let completions: u64 = outcomes.iter().map(|o| o.summary.completions).sum();
-        let cell = SweepCell {
-            name: name.clone(),
-            nodes,
-            scenarios: stats.scenarios,
-            workers: stats.workers,
-            wall_s: stats.wall_s,
-            scenarios_per_sec: stats.scenarios_per_sec(),
-            idle_tail_frac: stats.idle_tail_frac(),
-            completions,
-        };
-        println!(
-            "  {name} ... {} clusters in {:.2}s ({:.2} scenarios/s, {} workers)",
-            cell.scenarios, cell.wall_s, cell.scenarios_per_sec, cell.workers,
-        );
-        sweep_cells.push(cell);
-    }
+    let ns_of = |tag: &str| ns.iter().find(|(t, _)| *t == tag).map(|&(_, v)| v);
+    push_pair(
+        rows,
+        Row::new(
+            "cluster",
+            "dispatch/p2c",
+            "n64/n1024",
+            "ns_per_decision_ratio",
+        ),
+        ns_of("p2c/n64"),
+        ns_of("p2c/n1024"),
+        |row, small, large| row.lower(round(large / small, 4), DISPATCH_FLATNESS_FLOOR),
+    );
+    push_pair(
+        rows,
+        Row::new(
+            "cluster",
+            "dispatch/least-loaded",
+            "n1024",
+            "ns_per_decision_over_p2c",
+        ),
+        ns_of("p2c/n1024"),
+        ns_of("least-loaded/n1024"),
+        |row, p2c, ll| {
+            row.higher(round(ll / p2c, 4), DISPATCH_RACE_FLOOR)
+                .oracle(round(ll, 2))
+        },
+    );
 
     let (nodes, steps) = if smoke { (256, 4) } else { (1024, 16) };
     let name = format!("cluster/interval/n{nodes}");
-    let interval_cell = selected(only, &name).then(|| {
-        // Serial and parallel reps alternate so a slow phase of a shared
-        // machine lands on both sides.
-        let (mut serial_ms, mut parallel_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let (serial, serial_digest) = time_cluster_steps(nodes, steps, 1);
-            let (parallel, parallel_digest) = time_cluster_steps(nodes, steps, 0);
-            assert_eq!(
-                serial_digest, parallel_digest,
-                "{name}: the parallel node stage changed the decision stream"
-            );
-            serial_ms = serial_ms.min(serial);
-            parallel_ms = parallel_ms.min(parallel);
-        }
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let cell = IntervalCell {
-            name: name.clone(),
-            nodes,
-            steps,
-            cores,
-            serial_ms,
-            parallel_ms,
-        };
-        println!(
-            "  {name} ... {serial_ms:.2} ms/step serial vs {parallel_ms:.2} on {cores} cores \
-             ({:.2}×)",
-            cell.speedup()
-        );
-        cell
-    });
-
-    if dispatch_cells.is_empty() && sweep_cells.is_empty() && interval_cell.is_none() {
+    if !selected(only, &name) {
         return;
     }
-
-    let find = |n: &str| dispatch_cells.iter().find(|c| c.name == n);
-    let p2c_64 = find("cluster/dispatch/p2c/n64");
-    let p2c_1024 = find("cluster/dispatch/p2c/n1024");
-    let ll_1024 = find("cluster/dispatch/least-loaded/n1024");
-
-    let flat = match (p2c_64, p2c_1024) {
-        (Some(small), Some(large)) => {
-            let ratio = large.ns_per_decision() / small.ns_per_decision().max(1e-12);
-            println!(
-                "\nflatness: p2c {:.1} ns/decision at n64 vs {:.1} at n1024 — \
-                 ratio {ratio:.2} (floor 1.3)",
-                small.ns_per_decision(),
-                large.ns_per_decision(),
-            );
-            format!(
-                ",\"flatness\":{{\"p2c_n64_ns\":{:.2},\"p2c_n1024_ns\":{:.2},\
-                 \"ratio\":{:.3}}}",
-                small.ns_per_decision(),
-                large.ns_per_decision(),
-                ratio
-            )
-        }
-        _ => String::new(),
-    };
-    let race = match (p2c_1024, ll_1024) {
-        (Some(p2c), Some(ll)) => {
-            let advantage = ll.ns_per_decision() / p2c.ns_per_decision().max(1e-12);
-            println!(
-                "race: n1024 p2c {:.1} ns/decision vs least-loaded {:.1} — {advantage:.2}×",
-                p2c.ns_per_decision(),
-                ll.ns_per_decision(),
-            );
-            format!(
-                ",\"race\":{{\"p2c_n1024_ns\":{:.2},\"least_loaded_n1024_ns\":{:.2},\
-                 \"advantage\":{:.3}}}",
-                p2c.ns_per_decision(),
-                ll.ns_per_decision(),
-                advantage
-            )
-        }
-        _ => String::new(),
-    };
-
-    // Enforce the recorded-baseline floors on full runs that produced the
-    // gated cells (so `--only cluster/` regenerations stay honest too).
-    if !smoke {
-        if let (Some(small), Some(large)) = (p2c_64, p2c_1024) {
-            let ratio = large.ns_per_decision() / small.ns_per_decision().max(1e-12);
-            assert!(
-                ratio <= 1.3,
-                "PR7 floor: p2c ns/decision at n1024 must be within 1.3× of n64, \
-                 got {ratio:.2}×"
-            );
-        }
-        if let (Some(p2c), Some(ll)) = (p2c_1024, ll_1024) {
-            assert!(
-                p2c.ns_per_decision() <= ll.ns_per_decision(),
-                "PR7 floor: p2c must be at least as fast as least-loaded at n1024, \
-                 got {:.1} vs {:.1} ns/decision",
-                p2c.ns_per_decision(),
-                ll.ns_per_decision(),
-            );
-        }
-        if let Some(cell) = &interval_cell {
-            if cell.cores >= 2 {
-                assert!(
-                    cell.speedup() >= 1.3,
-                    "cluster-interval floor: {} must step at least 1.3× faster on {} \
-                     cores than serially, got {:.2}×",
-                    cell.name,
-                    cell.cores,
-                    cell.speedup()
-                );
-            } else {
-                println!(
-                    "{}: parallel speed-up floor skipped on a single core",
-                    cell.name
-                );
-            }
-        }
+    // Serial and parallel reps alternate so a slow phase of a shared
+    // machine lands on both sides.
+    let (mut serial_ms, mut parallel_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let (serial, serial_digest) = time_cluster_steps(nodes, steps, 1);
+        let (parallel, parallel_digest) = time_cluster_steps(nodes, steps, 0);
+        assert_eq!(
+            serial_digest, parallel_digest,
+            "{name}: the parallel node stage changed the decision stream"
+        );
+        serial_ms = serial_ms.min(serial);
+        parallel_ms = parallel_ms.min(parallel);
     }
-
-    let dispatch_body: Vec<String> = dispatch_cells.iter().map(DispatchCell::json).collect();
-    let sweep_body: Vec<String> = sweep_cells.iter().map(SweepCell::json).collect();
-    let interval_body: Vec<String> = interval_cell.iter().map(IntervalCell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster cluster tier: dispatch + two-tier sweeps + parallel node stage\",\
-         \"pr\":\"PR7\",\"smoke\":{smoke},\
-         \"quanta_per_node\":{quanta},\"occupancy_cap\":{cap},\
-         \"dispatch_cells\":[\n  {}\n],\
-         \"sweep_cells\":[\n  {}\n],\
-         \"interval_cells\":[\n  {}\n]{flat}{race}}}\n",
-        dispatch_body.join(",\n  "),
-        sweep_body.join(",\n  "),
-        interval_body.join(",\n  ")
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let speedup = serial_ms / parallel_ms.max(1e-12);
+    println!(
+        "  {name} ... {serial_ms:.2} ms/step serial vs {parallel_ms:.2} on {cores} cores \
+         ({speedup:.2}×)"
     );
-    let path = "BENCH_PR7.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
+    let row = Row::new(
+        "cluster",
+        "interval",
+        &format!("n{nodes}"),
+        "speedup_over_serial_ms_per_step",
+    );
+    if cores >= 2 {
+        rows.push(
+            row.higher(round(speedup, 4), INTERVAL_FLOOR)
+                .oracle(round(serial_ms, 3)),
+        );
+    } else {
+        println!("  {name}: no row on a single core (the floor needs two)");
+        rows.claim(&row);
+    }
+}
+
+/// Pushes the floor `finish` builds from two cells' measures when both
+/// ran; when only one ran, claims `row`'s key so its stale line goes.
+fn push_pair(
+    rows: &mut Run,
+    row: Row,
+    a: Option<f64>,
+    b: Option<f64>,
+    finish: impl FnOnce(Row, f64, f64) -> Row,
+) {
+    match (a, b) {
+        (Some(a), Some(b)) => rows.push(finish(row, a, b)),
+        (None, None) => {}
+        _ => rows.claim(&row),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn open_driver_equivalent_across_impls() {
-        let model = memcached();
-        let t = mean_service_s(&model);
-        let rate = 0.7 * 3.0 / t;
-        let mut a = ServiceNode::new();
-        let new = drive_open(&mut a, &model, 3, rate, 0.02, 3, 5);
-        let mut b = ReferenceNode::new();
-        let reference = drive_open(&mut b, &model, 3, rate, 0.02, 3, 5);
-        assert_eq!(new.checksum, reference.checksum);
-        assert!(new.events > 0);
-    }
 
     #[test]
     fn closed_driver_equivalent_across_impls() {
@@ -2165,40 +1358,6 @@ mod tests {
         );
         assert_eq!(scan.checksum, probe.checksum, "scan replay diverged");
     }
-
-    #[test]
-    fn open_replay_matches_inline_sampling() {
-        // The pre-generated open-loop stream must drive the same
-        // simulation as the inline-sampling driver, on both nodes.
-        let model = memcached();
-        let rate = 0.7 * 3.0 / mean_service_s(&model);
-        let probe = drive_open(&mut ServiceNode::new(), &model, 3, rate, 0.02, 3, 5);
-        let specs = big_specs(&model, 3);
-        let mut buf = Vec::new();
-        let mut gen = OpenStreamGen::new(&model, rate, 5);
-        let new = replay_open(
-            &mut ServiceNode::new(),
-            &specs,
-            &[],
-            &mut gen,
-            &mut buf,
-            0.02,
-            3,
-        );
-        assert_eq!(new.checksum, probe.checksum, "replay diverged from probe");
-        let mut gen = OpenStreamGen::new(&model, rate, 5);
-        let scan = replay_open(
-            &mut ReferenceNode::new(),
-            &specs,
-            &[],
-            &mut gen,
-            &mut buf,
-            0.02,
-            3,
-        );
-        assert_eq!(scan.checksum, probe.checksum, "scan replay diverged");
-    }
-
     #[test]
     fn juno_ladder_replays_identically_on_both_nodes() {
         // The per-interval DVFS re-key path, on the real node size.
@@ -2231,113 +1390,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_json_is_well_formed() {
-        let m = Measured {
-            events: 10,
-            intervals: 2,
-            wall_s: 0.5,
-            checksum: Vec::new(),
-        };
-        let r = Measured {
-            events: 10,
-            intervals: 2,
-            wall_s: 1.0,
-            checksum: Vec::new(),
-        };
-        let cell = Cell {
-            name: "open/x/s4".into(),
-            mode: "open",
-            servers: 4,
-            clients: None,
-            offered_rps: 100.0,
-            interval_s: 0.1,
-            intervals: 2,
-            new: m,
-            reference: r,
-        };
-        let j = cell.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"clients\":null"));
-        assert!(j.ends_with("\"speedup\":2.00}"));
-    }
-
-    #[test]
-    fn floor_rows_render_the_bench_schema() {
-        let speedup = FloorRow {
-            workload: "open/memcached-juno".into(),
-            size: "s6".into(),
-            metric: "speedup_over_scan_events_per_sec",
-            value: 1.654321,
-            oracle_value: 19_876_543.4,
-            floor: 1.25,
-            better: "higher",
-        };
-        assert!(speedup.holds());
-        let obj = JsonObj::parse(&speedup.json(false)).expect("one flat JSON line");
-        assert_eq!(obj.get_str("layer"), Some("node"));
-        assert_eq!(obj.get_str("workload"), Some("open/memcached-juno"));
-        assert_eq!(obj.get_num("value"), Some(1.6543));
-        assert_eq!(obj.get_num("oracle_value"), Some(19_876_543.0));
-        assert_eq!(obj.get_num("floor"), Some(1.25));
-        assert_eq!(obj.get_str("better"), Some("higher"));
-        assert_eq!(obj.get_bool("smoke"), Some(false));
-        let flat = FloorRow {
-            value: 1.31,
-            oracle_value: f64::NAN,
-            floor: 1.3,
-            better: "lower",
-            ..speedup
-        };
-        assert!(!flat.holds());
-        let line = flat.json(true);
-        assert!(line.contains("\"oracle_value\":null"), "{line}");
-        let obj = JsonObj::parse(&line).expect("one flat JSON line");
-        assert!(obj.get_num("oracle_value").is_some_and(f64::is_nan));
-        assert_eq!(obj.get_bool("smoke"), Some(true));
-    }
-
-    #[test]
-    fn cluster_cell_json_is_well_formed() {
-        let d = DispatchCell {
-            name: "cluster/dispatch/p2c/n64".into(),
-            policy: "power-of-two",
-            nodes: 64,
-            decisions: 1000,
-            wall_s: 10e-6,
-        };
-        let j = d.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.ends_with("\"ns_per_decision\":10.00}"));
-        let s = SweepCell {
-            name: "cluster/sweep/n16".into(),
-            nodes: 16,
-            scenarios: 4,
-            workers: 2,
-            wall_s: 0.25,
-            scenarios_per_sec: 16.0,
-            idle_tail_frac: 0.125,
-            completions: 999,
-        };
-        let j = s.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"wall_s\":0.2500"));
-        assert!(j.contains("\"scenarios_per_sec\":16.00"));
-        assert!(j.contains("\"completions\":999"));
-        let i = IntervalCell {
-            name: "cluster/interval/n1024".into(),
-            nodes: 1024,
-            steps: 16,
-            cores: 2,
-            serial_ms: 30.0,
-            parallel_ms: 20.0,
-        };
-        let j = i.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"parallel_ms_per_step\":20.000"));
-        assert!(j.ends_with("\"speedup\":1.500}"));
-    }
-
-    #[test]
     fn control_drivers_equivalent_across_impls() {
         let ladder = power_ladder(&Platform::juno_r1());
         let (loads, rewards) = control_inputs(3_000, 7);
@@ -2349,65 +1401,5 @@ mod tests {
             assert_eq!(new.table_tsv, reference.table_tsv, "width {width}");
             assert!(new.intervals_per_sec() > 0.0);
         }
-    }
-
-    #[test]
-    fn heatmap_fleets_are_square_and_valid() {
-        for scenarios in [64usize, 256] {
-            let fleet = heatmap_fleet(scenarios, 1, 0.02);
-            assert_eq!(fleet.len(), scenarios);
-        }
-    }
-
-    #[test]
-    fn heatmap_schedulers_agree() {
-        let (outcomes, _) = heatmap_fleet(64, 1, 0.02)
-            .run_with_stats()
-            .expect("valid fleet");
-        let (ref_outcomes, _) =
-            run_static_chunked(heatmap_fleet(64, 1, 0.02)).expect("valid fleet");
-        assert_eq!(fleet_digest(&outcomes), fleet_digest(&ref_outcomes));
-    }
-
-    #[test]
-    fn control_cell_json_is_well_formed() {
-        let m = |wall_s| ControlMeasured {
-            intervals: 100,
-            wall_s,
-            choices: Vec::new(),
-            table_tsv: String::new(),
-        };
-        let cell = ControlCell {
-            name: "control/qpath/b5".into(),
-            bucket_width: 0.05,
-            buckets: 21,
-            actions: 34,
-            new: m(0.5),
-            reference: m(1.0),
-        };
-        let j = cell.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"speedup\":2.00"));
-        let f = FleetCell {
-            name: "fleet/heatmap/s64".into(),
-            scenarios: 64,
-            intervals: 4,
-            interval_s: 0.05,
-            new: FleetMeasured {
-                wall_s: 1.0,
-                workers: 4,
-                idle_tail_frac: 0.01,
-                digest: 1,
-            },
-            reference: FleetMeasured {
-                wall_s: 2.0,
-                workers: 4,
-                idle_tail_frac: 0.25,
-                digest: 1,
-            },
-        };
-        let j = f.json();
-        assert!(j.contains("\"speedup\":2.00"));
-        assert!(j.contains("\"idle_tail_frac\":0.0100"));
     }
 }

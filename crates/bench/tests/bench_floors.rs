@@ -1,68 +1,24 @@
-//! The committed `BENCH.jsonl` (written by `repro bench`) must be a full
-//! run whose every value meets its floor.
-//!
-//! Each line is one flat JSON object in the bench schema
-//! `{layer, workload, size, metric, value, oracle_value, floor, better,
-//! smoke}`, read with the store's own codec. A smoke run (CI's, or a
-//! local `repro bench --smoke`) rewrites the file with `"smoke":true`;
-//! restore the committed one with `git checkout BENCH.jsonl`.
+//! The committed `BENCH.jsonl` (written by `repro bench` and
+//! `repro faults`) must be a full run whose every floor holds — the same
+//! check `repro bench --check BENCH.jsonl` runs. A smoke run (CI's, or a
+//! local `repro bench --smoke`) rewrites rows with `"smoke":true`;
+//! restore the committed file with `git checkout BENCH.jsonl`.
 
-use hipster_core::store::json::JsonObj;
+use hipster_bench::floors::{check, Row};
 
 const BENCH: &str = include_str!("../../../BENCH.jsonl");
 
-/// The `(workload, size)` of every floor a full run records.
-const FLOORS: [(&str, &str); 4] = [
-    ("closed/web-search", "c4096"),
-    ("open/memcached-juno", "s6"),
-    ("open/memcached", "s64/s1024"),
-    ("closed/web-search", "c1024/c4096"),
-];
+#[test]
+fn committed_bench_meets_every_floor() {
+    if let Err(failures) = check(BENCH) {
+        panic!("BENCH.jsonl:\n{failures}");
+    }
+}
 
 #[test]
-fn committed_bench_is_a_full_run_meeting_every_floor() {
-    let mut seen = Vec::new();
+fn committed_bench_is_a_full_run() {
     for (i, line) in BENCH.lines().enumerate() {
-        let row = JsonObj::parse(line)
-            .unwrap_or_else(|| panic!("line {}: not a flat JSON object: {line}", i + 1));
-        let field = |key: &str| {
-            row.get_str(key)
-                .unwrap_or_else(|| panic!("line {}: missing string {key:?}", i + 1))
-        };
-        let num = |key: &str| {
-            row.get_num(key)
-                .unwrap_or_else(|| panic!("line {}: missing number {key:?}", i + 1))
-        };
-        let name = format!(
-            "{} {} {} {}",
-            field("layer"),
-            field("workload"),
-            field("size"),
-            field("metric")
-        );
-        assert_eq!(
-            row.get_bool("smoke"),
-            Some(false),
-            "{name}: the committed file must be a full run"
-        );
-        let (value, floor) = (num("value"), num("floor"));
-        assert!(row.get("oracle_value").is_some(), "{name}: no oracle_value");
-        let holds = match field("better") {
-            "higher" => value >= floor,
-            "lower" => value <= floor,
-            other => panic!("{name}: better must be \"higher\" or \"lower\", got {other:?}"),
-        };
-        assert!(
-            holds,
-            "{name}: {value} does not meet its floor {floor} ({} is better)",
-            field("better")
-        );
-        seen.push((field("workload").to_owned(), field("size").to_owned()));
-    }
-    for (workload, size) in FLOORS {
-        assert!(
-            seen.iter().any(|(w, s)| w == workload && s == size),
-            "BENCH.jsonl lacks the {workload} {size} floor"
-        );
+        let row = Row::parse(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        assert!(!row.smoke, "line {}: {} is a smoke row", i + 1, row.key());
     }
 }

@@ -390,7 +390,7 @@ impl ClusterSpec {
     /// faults still strike the nodes but the dispatcher keeps feeding
     /// revoked and straggling nodes as if nothing happened, no request
     /// is hedged and the admission ladder never trips — the ablation
-    /// baseline for `BENCH_PR8.json` / `BENCH_PR10.json`.
+    /// baseline of the `faults` rows of `BENCH.jsonl`.
     pub fn mitigation(mut self, on: bool) -> Self {
         self.mitigation = on;
         self

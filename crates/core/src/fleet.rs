@@ -14,9 +14,9 @@
 //! through a callback (holding only out-of-order stragglers in a reorder
 //! buffer), and [`Fleet::run`] is the collect-everything convenience on
 //! top — the pre-PR4 `run` buffered every `Trace` unconditionally. A
-//! static-partition baseline scheduler lives in
+//! static-partition scheduler lives in
 //! [`reference::run_static_chunked`](crate::reference::run_static_chunked)
-//! for differential tests and scheduling-quality benchmarks.
+//! solely as the scheduler oracle of the fleet determinism test.
 //!
 //! Determinism is the contract: every scenario owns its own engine and
 //! seed, so a fleet run is byte-identical to running the same specs one by

@@ -1,21 +1,19 @@
-//! Reference control-plane implementations, kept for differential
-//! testing and benchmarking.
+//! Reference control-plane implementations, kept as differential
+//! oracles.
 //!
 //! * [`ReferenceQTable`] — the pre-PR4 hash-map-backed lookup table that
 //!   [`QTable`](crate::QTable) replaced with a dense
 //!   `(bucket, action_index)` array, frozen verbatim. A differential
 //!   property test pins the two to identical
 //!   `get`/`update`/`max_over`/`best_action` behaviour (tie-breaks and
-//!   unexplored-state defaults included), and `repro bench` measures
-//!   both on the same operation stream.
-//! * [`run_static_chunked`] — a **static-partition baseline** scheduler:
-//!   scenarios are split into contiguous per-worker chunks up front, so
-//!   a slow shard leaves the other workers idle — the straggler tail
-//!   dynamic work distribution (the shared-queue scheduler the
-//!   [`Fleet`] has always used, now an atomic cursor) avoids. It is the
-//!   yardstick the `fleet` cells of `repro bench` measure scheduling
-//!   quality against, and the determinism regression test asserts both
-//!   schedulers produce byte-identical outcomes.
+//!   unexplored-state defaults included), and `repro bench` races both
+//!   on the same operation stream (the `control` rows of `BENCH.jsonl`).
+//! * [`run_static_chunked`] — a **static-partition** scheduler:
+//!   scenarios are split into contiguous per-worker chunks up front
+//!   instead of claimed from the [`Fleet`]'s work-stealing cursor. Its
+//!   only job is to be the scheduler oracle of the fleet determinism
+//!   test (`tests/fleet_determinism.rs`), which asserts that both
+//!   schedules produce byte-identical outcomes; no benchmark races it.
 //!
 //! Nothing here is reachable from the hot path; the module exists so the
 //! fast implementations are falsifiable against a fixed reference.
@@ -127,8 +125,8 @@ impl ReferenceQTable {
 /// assigned up front to worker `i / ceil(n / workers)`, and each worker
 /// runs its contiguous chunk serially. Validation, split seeds, panic
 /// capture, fail-fast and declaration-order results all match
-/// [`Fleet::run`]; only the schedule differs, which is exactly what the
-/// `fleet` cells of `repro bench` measure.
+/// [`Fleet::run`]; only the schedule differs, so any outcome difference
+/// is a scheduler-dependence bug.
 ///
 /// # Errors
 ///

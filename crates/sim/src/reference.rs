@@ -19,9 +19,8 @@
 //!    races the calendar [`ThinkPool`](crate::ThinkPool) against
 //!    [`ReferenceThinkPool`].
 //! 2. **Benchmark baseline** — `repro bench` races the production node
-//!    against these oracles on identical streams, digest-compared,
-//!    recording the speedup (`BENCH_PR3.json`) and enforcing floors on it
-//!    (`BENCH.jsonl`).
+//!    against these oracles on identical streams, digest-compared, and
+//!    records the speedup floors of `BENCH.jsonl` on them.
 //!
 //! Nothing here should be used by production code paths; the oracles
 //! intentionally keep the costs of the original scans.
