@@ -16,7 +16,7 @@ use hipster_platform::CoreConfig;
 use hipster_sim::{LcModel, Trace};
 use hipster_workloads::Constant;
 
-use crate::runner::{pinned, run_fleet, run_fleet_stored, scenario, Workload};
+use crate::runner::{pinned, run_fleet, scenario, Workload};
 
 /// Measurement of one (config, load) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,30 +114,6 @@ pub fn measure_cells(
         .collect()
 }
 
-/// [`measure_cells`] backed by a durable [`SweepStore`](hipster_core::SweepStore): cells the store
-/// already holds are restored instead of re-run, so a crashed sweep
-/// resumed with the same store yields the exact same measurements — the
-/// `Cell` reduction is pure in the restored trace.
-pub fn measure_cells_stored(
-    workload: Workload,
-    candidates: &[CoreConfig],
-    load: f64,
-    secs: usize,
-    seed: u64,
-    store: &mut dyn hipster_core::SweepStore,
-) -> Vec<Cell> {
-    let specs: Vec<ScenarioSpec> = candidates
-        .iter()
-        .map(|&c| cell_spec(workload, c, load, secs, seed))
-        .collect();
-    let (outcomes, _) = run_fleet_stored(specs, store);
-    candidates
-        .iter()
-        .zip(outcomes.iter())
-        .map(|(&c, o)| cell_of(workload, c, load, &o.trace))
-        .collect()
-}
-
 /// The per-load choice of the cheapest QoS-meeting configuration from a
 /// candidate set (the "state machine" builder). Returns `None` for loads no
 /// candidate can serve.
@@ -186,19 +162,6 @@ mod tests {
             let single = measure_cell(Workload::Memcached, config, 0.4, 10, 21);
             assert_eq!(*cell, single);
         }
-    }
-
-    #[test]
-    fn stored_sweep_is_identical_fresh_and_resumed() {
-        let platform = Platform::juno_r1();
-        let candidates = platform.baseline_configs();
-        let plain = measure_cells(Workload::Memcached, &candidates, 0.4, 10, 21);
-        let mut store = hipster_core::MemStore::new();
-        let fresh = measure_cells_stored(Workload::Memcached, &candidates, 0.4, 10, 21, &mut store);
-        let resumed =
-            measure_cells_stored(Workload::Memcached, &candidates, 0.4, 10, 21, &mut store);
-        assert_eq!(plain, fresh, "journaling must not perturb measurements");
-        assert_eq!(plain, resumed, "restored cells must measure identically");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `BENCH.jsonl` — the recorded floors, their writer and their check.
 //!
 //! Every floor the repo keeps is one flat JSON line, read and written
-//! with the store's [`JsonObj`] codec:
+//! with the workspace's one JSON codec, [`JsonObj`] (`hipster_sim`):
 //!
 //! ```text
 //! {"layer":"node","workload":"open/memcached-juno","size":"s6",
@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use hipster_core::store::json::JsonObj;
+use hipster_sim::JsonObj;
 
 /// The results file both `repro bench` and `repro faults` write.
 pub const PATH: &str = "BENCH.jsonl";

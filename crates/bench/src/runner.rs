@@ -6,8 +6,8 @@
 //! through a [`Fleet`]. No experiment wires an `Engine`/`Manager` by hand.
 
 use hipster_core::{
-    Fleet, FleetStats, HeuristicMapper, Hipster, OctopusMan, Policy, ScenarioOutcome, ScenarioSpec,
-    StaticPolicy, SweepStore, Zones,
+    Fleet, HeuristicMapper, Hipster, OctopusMan, Policy, ScenarioOutcome, ScenarioSpec,
+    StaticPolicy, Zones,
 };
 use hipster_platform::{CoreConfig, Platform};
 use hipster_sim::{LoadPattern, Trace};
@@ -229,22 +229,6 @@ pub fn run_fleet(specs: Vec<ScenarioSpec>) -> Vec<ScenarioOutcome> {
     fleet.run().unwrap_or_else(|e| panic!("fleet failed: {e}"))
 }
 
-/// [`run_fleet`] against a durable [`SweepStore`]: cells the store has
-/// already completed are restored instead of re-run, fresh completions
-/// are journaled as they land, and the merged outcomes (declaration
-/// order) are byte-identical to an uninterrupted [`run_fleet`]. Pass a
-/// fresh store for the first attempt and the same store to resume after
-/// a crash.
-pub fn run_fleet_stored(
-    specs: Vec<ScenarioSpec>,
-    store: &mut dyn SweepStore,
-) -> (Vec<ScenarioOutcome>, FleetStats) {
-    let fleet: Fleet = specs.into_iter().collect();
-    fleet
-        .resume(store)
-        .unwrap_or_else(|e| panic!("stored fleet failed: {e}"))
-}
-
 /// Scales an experiment length for `--quick` mode.
 pub fn scaled(full: usize, quick: bool) -> usize {
     if quick {
@@ -301,40 +285,6 @@ mod tests {
         assert_eq!(outcomes[0].name, "a");
         assert_eq!(outcomes[1].name, "b");
         assert_eq!(outcomes[1].seed, 2);
-    }
-
-    #[test]
-    fn stored_fleet_restores_instead_of_rerunning() {
-        use hipster_core::MemStore;
-        let make = || {
-            vec![
-                scenario(
-                    "a",
-                    Workload::Memcached,
-                    Constant::new(0.3, 5.0),
-                    static_all_big(),
-                    5,
-                    1,
-                ),
-                scenario(
-                    "b",
-                    Workload::Memcached,
-                    Constant::new(0.6, 5.0),
-                    static_all_big(),
-                    5,
-                    2,
-                ),
-            ]
-        };
-        let mut store = MemStore::new();
-        let (first, stats) = run_fleet_stored(make(), &mut store);
-        assert_eq!((stats.scenarios, stats.resumed), (2, 0));
-        let (second, stats) = run_fleet_stored(make(), &mut store);
-        assert_eq!((stats.scenarios, stats.resumed), (0, 2));
-        for (a, b) in first.iter().zip(second.iter()) {
-            assert_eq!(a.trace.to_csv(), b.trace.to_csv());
-            assert_eq!(format!("{:?}", a.summary), format!("{:?}", b.summary));
-        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! private-tier energy, cloud dollars, and spill accounting.
 
 use crate::scenario::BatchDeadline;
-use crate::store::json::JsonObj;
-use hipster_sim::{percentile, QosTarget};
+use hipster_sim::{percentile, JsonObj, QosTarget};
 
 /// One monitoring interval aggregated across every node in the cluster.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,10 +1,10 @@
-//! File-backed sweep durability: an append-only JSON-lines journal plus
-//! an fsync'd completion manifest, in one directory.
+//! File-backed sweep durability: one append-only JSON-lines journal,
+//! `journal.jsonl`, in a directory.
 //!
 //! # On-disk format
 //!
-//! `journal.jsonl` — the source of truth. One *unit* per completed cell,
-//! appended and fsync'd as the cell finishes:
+//! One *unit* per completed cell, appended with a single fsync as the
+//! cell finishes:
 //!
 //! ```text
 //! {"begin":"3","name":"…","policy":"…","workload":"…","seed":"42","qos_pct":0.95,"qos_target_s":0.01,"n":"60"}
@@ -16,12 +16,9 @@
 //! plus single-line quarantine units
 //! `{"quarantine":"5","name":"…","seed":"17","panic":"…"}`. Seeds and
 //! indices travel as decimal strings — a JSON number read back through
-//! `f64` would corrupt values above 2⁵³.
-//!
-//! `manifest.jsonl` — a fast completion index (`{"done":"3","seed":"42"}`
-//! / `{"quarantined":"5","seed":"17"}`), fsync'd after every journal
-//! append and rewritten from the recovered journal on every
-//! [`FileStore::open`], so a crash between the two appends heals itself.
+//! `f64` would corrupt values above 2⁵³. Every line is a
+//! [`JsonObj`]; the store keeps no other file (a `manifest.jsonl` left
+//! by older versions is ignored).
 //!
 //! # Crash recovery
 //!
@@ -36,9 +33,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use hipster_sim::{interval_from_jsonl, interval_to_jsonl, QosTarget};
+use hipster_sim::{interval_from_jsonl, interval_to_jsonl, JsonObj, QosTarget};
 
-use super::json::JsonObj;
 use super::{QuarantineRecord, StoreError, SweepRecord, SweepStore};
 
 fn io_err(context: &str) -> impl FnOnce(std::io::Error) -> StoreError + '_ {
@@ -93,9 +89,7 @@ fn end_line(r: &SweepRecord) -> String {
     }
 }
 
-/// Renders one complete journal unit — begin + n intervals + end — in
-/// exactly the bytes [`FileStore::record`] appends, so compaction
-/// reproduces live units byte-identically.
+/// Renders one complete journal unit: begin + n intervals + end.
 fn render_unit(record: &SweepRecord) -> String {
     let mut unit = String::with_capacity(256 + 512 * record.intervals.len());
     unit.push_str(&begin_line(record));
@@ -242,7 +236,7 @@ fn open_append(path: &Path, context: &str) -> Result<File, StoreError> {
         .map_err(io_err(context))
 }
 
-/// Best-effort fsync of a directory so renames/creates inside it survive
+/// Best-effort fsync of a directory so creates inside it survive
 /// power loss (a no-op on filesystems that reject directory syncs).
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
@@ -250,14 +244,12 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// The file-backed [`SweepStore`]: `journal.jsonl` + `manifest.jsonl` in
-/// one directory. See the module docs for the format and crash-recovery
-/// guarantees.
+/// The file-backed [`SweepStore`]: `journal.jsonl` in one directory. See
+/// the module docs for the format and crash-recovery guarantees.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     journal: File,
-    manifest: File,
     records: BTreeMap<u64, SweepRecord>,
     quarantine: BTreeMap<u64, QuarantineRecord>,
 }
@@ -268,29 +260,24 @@ impl FileStore {
         dir.join("journal.jsonl")
     }
 
-    /// The manifest file inside `dir`.
-    pub fn manifest_path(dir: &Path) -> PathBuf {
-        dir.join("manifest.jsonl")
-    }
-
     /// Starts a fresh store in `dir` (created if missing), discarding any
     /// previous journal there.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(io_err("create store directory"))?;
         fs::write(Self::journal_path(dir), b"").map_err(io_err("truncate journal"))?;
-        fs::write(Self::manifest_path(dir), b"").map_err(io_err("truncate manifest"))?;
         sync_dir(dir);
         Self::open(dir)
     }
 
     /// Opens (or initialises) the store in `dir`, recovering from any
     /// torn writes: the journal is truncated back to its last complete
-    /// unit and the manifest rewritten to match.
+    /// unit.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(io_err("create store directory"))?;
         let journal_path = Self::journal_path(&dir);
+        let fresh = !journal_path.exists();
         let recovered = recover_journal(&journal_path)?;
         if recovered.good_len < recovered.file_len {
             let f = OpenOptions::new()
@@ -301,41 +288,14 @@ impl FileStore {
                 .map_err(io_err("truncate torn journal tail"))?;
             f.sync_data().map_err(io_err("sync truncated journal"))?;
         }
-        // Rewrite the manifest from the recovered journal state: heals a
-        // crash that landed between the journal append and the manifest
-        // append, and drops manifest lines whose journal unit was torn.
-        let mut manifest_body = String::new();
-        for r in recovered.records.values() {
-            manifest_body.push_str(
-                &JsonObj::new()
-                    .u64("done", r.index)
-                    .u64("seed", r.seed)
-                    .render(),
-            );
-            manifest_body.push('\n');
+        let journal = open_append(&journal_path, "open journal")?;
+        // A journal created here needs its directory entry made durable,
+        // or power loss can drop the file with every unit fsync'd into it.
+        if fresh {
+            sync_dir(&dir);
         }
-        for q in recovered.quarantine.values() {
-            manifest_body.push_str(
-                &JsonObj::new()
-                    .u64("quarantined", q.index)
-                    .u64("seed", q.seed)
-                    .render(),
-            );
-            manifest_body.push('\n');
-        }
-        let manifest_path = Self::manifest_path(&dir);
-        let tmp = dir.join("manifest.jsonl.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(io_err("write manifest"))?;
-            f.write_all(manifest_body.as_bytes())
-                .map_err(io_err("write manifest"))?;
-            f.sync_data().map_err(io_err("sync manifest"))?;
-        }
-        fs::rename(&tmp, &manifest_path).map_err(io_err("install manifest"))?;
-        sync_dir(&dir);
         Ok(FileStore {
-            journal: open_append(&journal_path, "open journal")?,
-            manifest: open_append(&manifest_path, "open manifest")?,
+            journal,
             dir,
             records: recovered.records,
             quarantine: recovered.quarantine,
@@ -357,65 +317,13 @@ impl FileStore {
         self.records.is_empty() && self.quarantine.is_empty()
     }
 
-    /// Rewrites `journal.jsonl` keeping only live units — dropping
-    /// superseded re-records of the same cell index and quarantine lines
-    /// for cells that later completed — when the dead bytes they occupy
-    /// reach `min_dead_bytes`. Returns the bytes reclaimed (0 when below
-    /// the threshold, so callers can compact opportunistically after
-    /// every resume without churning healthy journals).
-    ///
-    /// The rewrite is atomic: the compacted journal is written to a
-    /// temporary file, fsync'd, and renamed over the original, so a
-    /// crash at any point leaves either the old or the new journal
-    /// intact. Live units are re-rendered in exactly the bytes
-    /// [`record`](SweepStore::record) appended, so a store reopened
-    /// after compaction restores every record byte-identically.
-    pub fn compact(&mut self, min_dead_bytes: u64) -> Result<u64, StoreError> {
-        let mut live = String::new();
-        for r in self.records.values() {
-            live.push_str(&render_unit(r));
-        }
-        for q in self.quarantine.values() {
-            // A quarantine whose cell later completed is dead weight —
-            // recovery drops it anyway.
-            if self.records.contains_key(&q.index) {
-                continue;
-            }
-            live.push_str(&quarantine_line(q));
-            live.push('\n');
-        }
-        let journal_path = Self::journal_path(&self.dir);
-        let file_len = fs::metadata(&journal_path)
-            .map_err(io_err("stat journal"))?
-            .len();
-        let dead = file_len.saturating_sub(live.len() as u64);
-        if dead < min_dead_bytes.max(1) {
-            return Ok(0);
-        }
-        let tmp = self.dir.join("journal.jsonl.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(io_err("write compacted journal"))?;
-            f.write_all(live.as_bytes())
-                .map_err(io_err("write compacted journal"))?;
-            f.sync_data().map_err(io_err("sync compacted journal"))?;
-        }
-        fs::rename(&tmp, &journal_path).map_err(io_err("install compacted journal"))?;
-        sync_dir(&self.dir);
-        // The old append handle still points at the replaced inode.
-        self.journal = open_append(&journal_path, "reopen compacted journal")?;
-        Ok(dead)
-    }
-
-    fn append_journal(&mut self, unit: &str, manifest_line: &str) -> Result<(), StoreError> {
+    /// Appends one unit and fsyncs it, so a kill can only tear the
+    /// not-yet-committed tail of this unit.
+    fn append(&mut self, unit: &str) -> Result<(), StoreError> {
         self.journal
             .write_all(unit.as_bytes())
             .map_err(io_err("append journal"))?;
-        self.journal.sync_data().map_err(io_err("sync journal"))?;
-        self.manifest
-            .write_all(manifest_line.as_bytes())
-            .map_err(io_err("append manifest"))?;
-        self.manifest.sync_data().map_err(io_err("sync manifest"))?;
-        Ok(())
+        self.journal.sync_data().map_err(io_err("sync journal"))
     }
 }
 
@@ -437,16 +345,7 @@ impl SweepStore for FileStore {
     }
 
     fn record(&mut self, record: &SweepRecord) -> Result<(), StoreError> {
-        // One buffered append per cell: begin + n intervals + end, then a
-        // single fsync, so a kill can only tear the not-yet-committed
-        // tail of this unit.
-        let unit = render_unit(record);
-        let mut manifest_line = JsonObj::new()
-            .u64("done", record.index)
-            .u64("seed", record.seed)
-            .render();
-        manifest_line.push('\n');
-        self.append_journal(&unit, &manifest_line)?;
+        self.append(&render_unit(record))?;
         self.records.insert(record.index, record.clone());
         Ok(())
     }
@@ -454,12 +353,7 @@ impl SweepStore for FileStore {
     fn record_quarantine(&mut self, q: &QuarantineRecord) -> Result<(), StoreError> {
         let mut unit = quarantine_line(q);
         unit.push('\n');
-        let mut manifest_line = JsonObj::new()
-            .u64("quarantined", q.index)
-            .u64("seed", q.seed)
-            .render();
-        manifest_line.push('\n');
-        self.append_journal(&unit, &manifest_line)?;
+        self.append(&unit)?;
         self.quarantine.insert(q.index, q.clone());
         Ok(())
     }
@@ -626,6 +520,11 @@ mod tests {
             store.record(&r2).unwrap();
         }
         let store = FileStore::open(&dir).expect("reopen");
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["journal.jsonl"], "the journal is the only file");
         assert_eq!(store.completed_indices(), vec![0, 2]);
         assert_eq!(store.quarantined(), vec![q]);
         assert_eq!(store.fetch(0), Some(r0));
@@ -680,28 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_is_rebuilt_from_journal_on_open() {
-        let dir = scratch("manifest");
-        let r0 = sample_record(0, 100);
-        {
-            let mut store = FileStore::create(&dir).expect("create");
-            store.record(&r0).unwrap();
-        }
-        let manifest = FileStore::manifest_path(&dir);
-        let healthy = fs::read_to_string(&manifest).unwrap();
-        assert!(healthy.contains("\"done\":\"0\""));
-        // Simulate a crash between journal append and manifest append:
-        // an empty (stale) manifest must heal to match the journal.
-        fs::write(&manifest, b"").unwrap();
-        {
-            let store = FileStore::open(&dir).expect("heal");
-            assert_eq!(store.completed_indices(), vec![0]);
-        }
-        assert_eq!(fs::read_to_string(&manifest).unwrap(), healthy);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn create_discards_previous_journal() {
         let dir = scratch("fresh");
         {
@@ -714,63 +591,89 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_dead_bytes_and_resumes_byte_identically() {
-        let dir = scratch("compact");
+    fn reopen_keeps_latest_record_and_drops_completed_quarantine() {
+        let dir = scratch("supersede");
         let r0 = sample_record(0, 100);
         let r0b = sample_record(0, 150); // re-record of cell 0 supersedes r0
         let r1 = sample_record(1, 101);
-        let r3 = sample_record(3, 103);
         let quarantine = |index: u64| QuarantineRecord {
             index,
             name: format!("cell-{index}"),
             seed: index,
             message: "boom".into(),
         };
-        let q1 = quarantine(1); // completed later: dead
-        let q2 = quarantine(2); // still live
-        let journal = FileStore::journal_path(&dir);
         {
             let mut store = FileStore::create(&dir).expect("create");
             store.record(&r0).unwrap();
-            store.record_quarantine(&q1).unwrap();
+            store.record_quarantine(&quarantine(1)).unwrap(); // completed later
             store.record(&r0b).unwrap();
             store.record(&r1).unwrap();
-            store.record_quarantine(&q2).unwrap();
-            let before = fs::metadata(&journal).unwrap().len();
-            // Below the threshold the journal is untouched.
-            assert_eq!(store.compact(u64::MAX).unwrap(), 0);
-            assert_eq!(fs::metadata(&journal).unwrap().len(), before);
-            let reclaimed = store.compact(1).unwrap();
-            assert!(reclaimed > 0, "superseded units must be reclaimed");
-            assert_eq!(fs::metadata(&journal).unwrap().len(), before - reclaimed);
-            // The store stays appendable through its reopened handle.
-            store.record(&r3).unwrap();
-            // Nothing left to reclaim.
-            assert_eq!(store.compact(1).unwrap(), 0);
+            store.record_quarantine(&quarantine(2)).unwrap(); // still live
         }
         let store = FileStore::open(&dir).expect("reopen");
-        assert_eq!(store.completed_indices(), vec![0, 1, 3]);
-        assert_eq!(store.fetch(0), Some(r0b.clone()));
-        assert_eq!(store.fetch(1), Some(r1.clone()));
-        assert_eq!(store.fetch(3), Some(r3.clone()));
-        assert_eq!(store.quarantined(), vec![q2.clone()]);
-        // Byte-identity: the compacted journal is exactly what a fresh
-        // store recording only the live cells would have written.
-        let fresh_dir = scratch("compact-fresh");
+        assert_eq!(store.completed_indices(), vec![0, 1]);
+        assert_eq!(store.fetch(0), Some(r0b));
+        assert_eq!(store.fetch(1), Some(r1));
+        assert_eq!(store.quarantined(), vec![quarantine(2)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The on-disk format, pinned: one journal unit (a record with two
+    /// intervals and a deadline miss) plus one quarantine line, written by
+    /// an earlier, independent serializer, so a change that moves the
+    /// writer and the parser together still fails here.
+    const JOURNAL: &str = concat!(
+        r#"{"begin":"3","name":"table3/memcached/static \"big\"","policy":"Static(2B-1.15)","workload":"Memcached","seed":"18446744073709551608","qos_pct":0.95,"qos_target_s":0.01,"n":"2"}"#,
+        "\n",
+        r#"{"index":0,"start_s":0,"duration_s":1,"n_big":2,"n_small":0,"lc_big_mhz":1150,"lc_small_mhz":650,"big_mhz":1150,"small_mhz":650,"batch_enabled":false,"offered_load_frac":0.1,"offered_rps":3600,"arrivals":4124,"completions":4124,"timeouts":0,"throughput_rps":4124,"tail_latency_s":0.0007457124486743335,"mean_latency_s":0.0002603484445935068,"queue_len":0,"lc_busy":[0.0935827168455007,0.09590399280707221],"power_big":0.30885096256374955,"power_small":0.003,"power_rest":0.76,"energy_j":1.0718509625637496,"batch_ips_big":0,"batch_ips_small":0,"counters_valid":true,"migrated_cores":0}"#,
+        "\n",
+        r#"{"index":1,"start_s":1,"duration_s":1,"n_big":2,"n_small":0,"lc_big_mhz":1150,"lc_small_mhz":650,"big_mhz":1150,"small_mhz":650,"batch_enabled":false,"offered_load_frac":0.09966666666666667,"offered_rps":3588,"arrivals":3475,"completions":3475,"timeouts":0,"throughput_rps":3475,"tail_latency_s":0.0007561847150713729,"mean_latency_s":0.00027385080642277514,"queue_len":0,"lc_busy":[0.08785157646093689,0.08866795679818806],"power_big":0.300033282616205,"power_small":0.003,"power_rest":0.76,"energy_j":1.063033282616205,"batch_ips_big":0,"batch_ips_small":0,"counters_valid":true,"migrated_cores":0}"#,
+        "\n",
+        r#"{"end":"3","deadline_miss_pct":12.5}"#,
+        "\n",
+        r#"{"quarantine":"5","name":"bomb \"q\"\nline","seed":"9007199254740993","panic":"panicked at 'boom: {\"json\": true}' é\t漢"}"#,
+        "\n",
+    );
+
+    #[test]
+    fn literal_journal_restores_and_rerenders_byte_identically() {
+        let dir = scratch("literal");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(FileStore::journal_path(&dir), JOURNAL).unwrap();
+        let store = FileStore::open(&dir).expect("open");
+        assert_eq!(store.completed_indices(), vec![3]);
+        let record = store.fetch(3).expect("record 3");
+        assert_eq!(record.name, "table3/memcached/static \"big\"");
+        assert_eq!(record.policy, "Static(2B-1.15)");
+        assert_eq!(record.workload, "Memcached");
+        assert_eq!(record.seed, u64::MAX - 7);
+        assert_eq!((record.qos.percentile, record.qos.target_s), (0.95, 0.01));
+        assert_eq!(record.deadline_miss_pct, Some(12.5));
+        let arrivals: Vec<usize> = record.intervals.iter().map(|iv| iv.arrivals).collect();
+        assert_eq!(arrivals, vec![4124, 3475]);
+        let q = QuarantineRecord {
+            index: 5,
+            name: "bomb \"q\"\nline".into(),
+            seed: (1 << 53) + 1,
+            message: "panicked at 'boom: {\"json\": true}' é\t漢".into(),
+        };
+        assert_eq!(store.quarantined(), vec![q.clone()]);
+        let lines: Vec<&str> = JOURNAL.lines().collect();
+        for (iv, line) in record.intervals.iter().zip(&lines[1..3]) {
+            assert_eq!(interval_to_jsonl(iv), *line);
+        }
+        let again = scratch("literal-again");
         {
-            let mut fresh = FileStore::create(&fresh_dir).expect("create fresh");
-            fresh.record(&r0b).unwrap();
-            fresh.record(&r1).unwrap();
-            fresh.record_quarantine(&q2).unwrap();
-            fresh.record(&r3).unwrap();
+            let mut fresh = FileStore::create(&again).expect("create");
+            fresh.record(&record).unwrap();
+            fresh.record_quarantine(&q).unwrap();
         }
         assert_eq!(
-            fs::read(&journal).unwrap(),
-            fs::read(FileStore::journal_path(&fresh_dir)).unwrap(),
-            "compacted journal must be byte-identical to a dead-byte-free one"
+            fs::read_to_string(FileStore::journal_path(&again)).unwrap(),
+            JOURNAL
         );
         let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&fresh_dir);
+        let _ = fs::remove_dir_all(&again);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!
 //! * [`MemStore`] — in-process, for tests and warm restarts within one
 //!   process.
-//! * [`FileStore`] — an append-only JSON-lines journal plus an fsync'd
-//!   completion manifest in a directory; tolerates torn writes by
-//!   discarding a truncated tail on open (those cells simply re-run).
+//! * [`FileStore`] — one append-only JSON-lines journal in a directory,
+//!   written with the [`hipster_sim::JsonObj`] codec and fsync'd once
+//!   per cell; tolerates torn writes by discarding a truncated tail on
+//!   open (those cells simply re-run).
 //!
 //! Scenario *panics* are captured the same way: under
 //! [`PanicPolicy::Quarantine`](crate::PanicPolicy) a panicking cell
@@ -25,7 +26,6 @@
 //! instead of poisoning the sweep.
 
 mod filestore;
-pub mod json;
 
 pub use filestore::{CellJournal, FileStore};
 

@@ -13,7 +13,9 @@
 //! * [`SummarySink`] — reduces the run to a [`PolicySummary`];
 //! * [`CsvSink`] — streams [`csv_header`]-schema rows to a writer/file;
 //! * [`JsonLinesSink`] — streams one JSON object per interval
-//!   ([`hipster_sim::interval_to_jsonl`]'s round-trippable format).
+//!   ([`hipster_sim::interval_to_jsonl`]'s round-trippable format, a
+//!   field map over [`hipster_sim::JsonObj`], the codec the sweep store's
+//!   journal shares).
 //!
 //! File sinks default to paths under `results/`, the workspace's artifact
 //! directory.

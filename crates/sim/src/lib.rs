@@ -84,7 +84,7 @@ pub use engine::{Engine, IntervalStats, MachineConfig, DEFAULT_JITTER_SIGMA};
 pub use fault::{
     DomainFaultSpec, FaultPlan, FaultSpec, FaultSpecError, FaultState, HedgeSpec, WavePlan,
 };
-pub use jsonl::{interval_from_jsonl, interval_to_jsonl};
+pub use jsonl::{interval_from_jsonl, interval_to_jsonl, JsonObj};
 pub use latency::{percentile, LatencyRecorder};
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
